@@ -28,9 +28,9 @@
    (delivered_now - delivered_then) / (now - sent_then).  Retransmitted
    sequences never produce samples (Karn, as everywhere else in lib/cc).
 
-   Loss does not change the model (BBR v1 behavior): recovery is a
-   3-dupack retransmit and go-back-N on RTO — with the timer floored at
-   [min_rto] and exponentially backed off — but btl_bw/rtprop survive. *)
+   Loss does not change the model (BBR v1 behavior): recovery is
+   [Reliable]'s 3-dupack retransmit and go-back-N on RTO, but
+   btl_bw/rtprop survive. *)
 
 module Log = (val Logs.src_log (Logs.Src.create "cc.bbr") : Logs.LOG)
 
@@ -46,8 +46,6 @@ type config = {
   pkt_size : int;
   initial_cwnd : float; (* pkts; also seeds the pre-sample pacing rate *)
   initial_rtt : float; (* pacing seed before the first RTT sample *)
-  min_rto : float;
-  max_rto : float;
   bw_filter_rounds : int; (* max-filter horizon, round trips *)
   rtprop_window : float; (* min-filter horizon, seconds *)
   probe_rtt_duration : float;
@@ -59,8 +57,6 @@ let default_config =
     pkt_size = 1000;
     initial_cwnd = 4.;
     initial_rtt = 0.1;
-    min_rto = 0.2;
-    max_rto = 64.;
     bw_filter_rounds = 10;
     rtprop_window = 10.;
     probe_rtt_duration = 0.2;
@@ -76,18 +72,9 @@ let gain_cycle = [| 1.25; 0.75; 1.; 1.; 1.; 1.; 1.; 1. |]
 let initial_cycle_index = 2 (* fixed, deterministic: start in cruise *)
 
 type t = {
-  sim : Engine.Sim.t;
   cfg : config;
-  src : Netsim.Node.t;
-  dst : Netsim.Node.t;
-  flow_id : int;
-  sink : Sink.t;
+  r : Reliable.t;  (* sequence space, RTT/RTO, counters, sink *)
   mutable pacer : Pacing.t;
-  mutable running : bool;
-  (* sequence space *)
-  mutable snd_una : int;
-  mutable snd_nxt : int;
-  mutable high_water : int;
   (* model *)
   mutable delivered : int; (* cumulatively acked first transmissions *)
   send_info : (int, float * int) Hashtbl.t; (* seq -> sent_at, delivered *)
@@ -113,28 +100,9 @@ type t = {
   mutable cycle_index : int;
   mutable cycle_stamp : float;
   mutable probe_rtt_done_at : float; (* nan until inflight has drained *)
-  (* loss recovery *)
-  mutable dupacks : int;
-  mutable in_recovery : bool;
-  mutable recover : int;
-  mutable backoff : float;
-  mutable rto_timer : Engine.Sim.timer;
-  mutable srtt : float;
-  mutable rttvar : float;
-  mutable rtt_valid : bool;
-  (* diagnostics *)
-  mutable pkts_sent : int;
-  mutable bytes_sent : int;
-  mutable n_timeouts : int;
-  mutable n_fast_rtx : int;
-  mutable n_rtx_pkts : int;
 }
 
-let inflight t = t.snd_nxt - t.snd_una
-
-let current_rto t =
-  let base = if t.rtt_valid then t.srtt +. (4. *. t.rttvar) else 1.0 in
-  Float.min t.cfg.max_rto (Float.max t.cfg.min_rto base *. t.backoff)
+let inflight t = Reliable.inflight t.r
 
 let bdp_pkts t =
   if t.btl_bw > 0. && Float.is_finite t.rtprop then t.btl_bw *. t.rtprop
@@ -150,41 +118,24 @@ let pacing_rate_pps t =
     (* No sample yet: pace the initial window out over the RTT guess. *)
     t.pacing_gain *. t.cfg.initial_cwnd /. t.cfg.initial_rtt
 
+(* Karn: only first transmissions carry delivery-rate bookkeeping. *)
 let transmit t ~seq =
-  let now = Engine.Sim.now t.sim in
-  let pkt =
-    Netsim.Packet.make ~size:t.cfg.pkt_size ~seq ~flow:t.flow_id
-      ~src:(Netsim.Node.id t.src) ~dst:(Netsim.Node.id t.dst) ~sent_at:now ()
-  in
-  t.pkts_sent <- t.pkts_sent + 1;
-  t.bytes_sent <- t.bytes_sent + t.cfg.pkt_size;
-  if seq < t.high_water then begin
-    t.n_rtx_pkts <- t.n_rtx_pkts + 1;
-    Hashtbl.remove t.send_info seq (* Karn *)
-  end
-  else begin
-    Hashtbl.replace t.send_info seq (now, t.delivered);
-    t.high_water <- seq + 1
-  end;
-  Netsim.Node.inject t.src pkt
+  if Reliable.transmit t.r ~seq then Hashtbl.remove t.send_info seq
+  else Hashtbl.replace t.send_info seq (Engine.Sim.now t.r.sim, t.delivered)
 
-let cancel_rto t = Engine.Sim.disarm t.rto_timer
-
-let restart_rto t =
-  if t.running && t.snd_una < t.snd_nxt then
-    Engine.Sim.arm_after t.rto_timer (current_rto t)
-  else cancel_rto t
+let send_next t =
+  transmit t ~seq:t.r.snd_nxt;
+  t.r.snd_nxt <- t.r.snd_nxt + 1
 
 (* The pacer's emit callback: one new packet if the inflight cap allows. *)
 let emit t () =
   if
-    t.running
-    && (not t.in_recovery)
+    t.r.running
+    && (not t.r.in_recovery)
     && float_of_int (inflight t) < Float.floor (cwnd_pkts t)
   then begin
-    transmit t ~seq:t.snd_nxt;
-    t.snd_nxt <- t.snd_nxt + 1;
-    if not (Engine.Sim.timer_armed t.rto_timer) then restart_rto t;
+    send_next t;
+    Reliable.ensure_rto t.r;
     true
   end
   else false
@@ -209,7 +160,7 @@ let rtprop_update t =
   t.rtprop <- m
 
 let rtt_sample t sample =
-  let now = Engine.Sim.now t.sim in
+  let now = Engine.Sim.now t.r.sim in
   (* Strictly-lower samples refresh the staleness stamp.  Ties do not:
      the simulator is noiseless, so every PROBE_BW drain phase touches
      the propagation floor *exactly* and [<=] would postpone PROBE_RTT
@@ -225,16 +176,7 @@ let rtt_sample t sample =
   end;
   rtprop_update t;
   (* srtt/rttvar only feed the RTO. *)
-  if t.rtt_valid then begin
-    let err = sample -. t.srtt in
-    t.srtt <- t.srtt +. (0.125 *. err);
-    t.rttvar <- t.rttvar +. (0.25 *. (Float.abs err -. t.rttvar))
-  end
-  else begin
-    t.srtt <- sample;
-    t.rttvar <- sample /. 2.;
-    t.rtt_valid <- true
-  end
+  Reliable.rtt_sample t.r sample
 
 (* --- mode machine ------------------------------------------------------ *)
 
@@ -257,13 +199,14 @@ let enter t mode =
   if t.mode <> mode then
     Log.debug (fun m ->
         m "t=%.3f flow=%d bbr: %s -> %s (btl_bw=%.0f pps rtprop=%.4f)"
-          (Engine.Sim.now t.sim) t.flow_id (mode_name t.mode) (mode_name mode)
+          (Engine.Sim.now t.r.sim) t.r.flow_id (mode_name t.mode)
+          (mode_name mode)
           t.btl_bw t.rtprop);
   t.mode <- mode;
   (match mode with
   | Probe_bw ->
     t.cycle_index <- initial_cycle_index;
-    t.cycle_stamp <- Engine.Sim.now t.sim
+    t.cycle_stamp <- Engine.Sim.now t.r.sim
   | Probe_rtt -> t.probe_rtt_done_at <- Float.nan
   | Startup | Drain -> ());
   set_gains t
@@ -283,7 +226,7 @@ let check_full_pipe t =
   end
 
 let update_mode t =
-  let now = Engine.Sim.now t.sim in
+  let now = Engine.Sim.now t.r.sim in
   (* PROBE_RTT preempts every other mode when the min filter goes stale. *)
   if
     t.mode <> Probe_rtt
@@ -318,10 +261,9 @@ let update_mode t =
 (* --- ack path ----------------------------------------------------------- *)
 
 let on_new_ack t cum =
-  let now = Engine.Sim.now t.sim in
-  let old_una = t.snd_una in
-  t.snd_una <- cum;
-  t.backoff <- 1.;
+  let now = Engine.Sim.now t.r.sim in
+  let old_una = t.r.snd_una in
+  let progress = Reliable.new_ack t.r cum in
   t.delivered <- t.delivered + (cum - old_una);
   (* Sample bandwidth/RTT from the newest acked first transmission; drop
      the bookkeeping for the rest. *)
@@ -336,76 +278,46 @@ let on_new_ack t cum =
   (* Round accounting. *)
   if cum > t.round_end then begin
     t.round_count <- t.round_count + 1;
-    t.round_end <- t.snd_nxt;
+    t.round_end <- t.r.snd_nxt;
     check_full_pipe t
   end;
-  if t.in_recovery then begin
-    if cum > t.recover then begin
-      t.in_recovery <- false;
-      t.dupacks <- 0
-    end
-    else transmit t ~seq:t.snd_una (* next hole is lost too *)
-  end
-  else t.dupacks <- 0;
+  (match progress with
+  | Reliable.Partial -> transmit t ~seq:t.r.snd_una (* next hole lost too *)
+  | Reliable.Open | Reliable.Full -> ());
   update_mode t;
-  restart_rto t;
+  Reliable.restart_rto t.r;
   Pacing.kick t.pacer
 
 let on_dup_ack t =
-  t.dupacks <- t.dupacks + 1;
-  if (not t.in_recovery) && t.dupacks = 3 && t.snd_una > t.recover then begin
-    t.n_fast_rtx <- t.n_fast_rtx + 1;
-    t.in_recovery <- true;
-    t.recover <- t.snd_nxt;
-    transmit t ~seq:t.snd_una;
-    restart_rto t
+  if Reliable.dup_ack t.r then begin
+    Reliable.enter_recovery t.r;
+    transmit t ~seq:t.r.snd_una;
+    Reliable.restart_rto t.r
   end
 
+(* The core has counted the timeout, doubled the backoff and rewound. *)
 let on_rto t =
-  if t.running && t.snd_una < t.snd_nxt then begin
-    t.n_timeouts <- t.n_timeouts + 1;
-    t.backoff <- Float.min 64. (t.backoff *. 2.);
-    t.in_recovery <- false;
-    t.dupacks <- 0;
-    t.snd_nxt <- t.snd_una;
-    t.recover <- t.high_water;
-    t.round_end <- t.snd_nxt;
-    transmit t ~seq:t.snd_nxt;
-    t.snd_nxt <- t.snd_nxt + 1;
-    restart_rto t;
-    Pacing.kick t.pacer
-  end
+  t.round_end <- t.r.snd_nxt;
+  send_next t;
+  Reliable.restart_rto t.r;
+  Pacing.kick t.pacer
 
-let handle_ack t (pkt : Netsim.Packet.t) =
-  (if t.running then
-     match pkt.Netsim.Packet.payload with
-     | Netsim.Packet.Ack { cum_seq; sack = _ } ->
-       if cum_seq > t.snd_una then on_new_ack t cum_seq
-       else if cum_seq = t.snd_una && t.snd_una < t.snd_nxt then on_dup_ack t
-     | Netsim.Packet.Plain | Netsim.Packet.Rap_ack _ | Netsim.Packet.Tfrc_data _
-     | Netsim.Packet.Tfrc_fb _ | Netsim.Packet.Tear_fb _ ->
-       ());
-  Netsim.Packet.release pkt
+let handle_ack t pkt =
+  (match Reliable.classify t.r pkt with
+  | Reliable.New -> on_new_ack t (Reliable.cum_seq pkt)
+  | Reliable.Dup -> on_dup_ack t
+  | Reliable.Stale | Reliable.Ignore -> ());
+  Reliable.release pkt
 
 let create ~sim ~src ~dst ~flow cfg =
   if cfg.initial_cwnd < 1. then invalid_arg "Bbr: initial_cwnd";
   if cfg.initial_rtt <= 0. then invalid_arg "Bbr: initial_rtt";
-  let sink =
-    Sink.attach ~sim ~node:dst ~flow ~peer:(Netsim.Node.id src) ()
-  in
+  let r = Reliable.create ~sim ~src ~dst ~flow ~pkt_size:cfg.pkt_size () in
   let t =
     {
-      sim;
       cfg;
-      src;
-      dst;
-      flow_id = flow;
-      sink;
+      r;
       pacer = Pacing.create ~sim ~emit:(fun () -> false) ();
-      running = false;
-      snd_una = 0;
-      snd_nxt = 0;
-      high_water = 0;
       delivered = 0;
       send_info = Hashtbl.create 64;
       btl_bw = 0.;
@@ -427,71 +339,37 @@ let create ~sim ~src ~dst ~flow cfg =
       full_bw_rounds = 0;
       cycle_index = initial_cycle_index;
       cycle_stamp = 0.;
-      dupacks = 0;
-      in_recovery = false;
-      recover = -1;
-      backoff = 1.;
-      rto_timer = Engine.Sim.timer sim ignore;
-      srtt = 0.;
-      rttvar = 0.;
-      rtt_valid = false;
       probe_rtt_done_at = Float.nan;
-      pkts_sent = 0;
-      bytes_sent = 0;
-      n_timeouts = 0;
-      n_fast_rtx = 0;
-      n_rtx_pkts = 0;
     }
   in
   t.pacer <- Pacing.create ~sim ~emit:(fun () -> emit t ()) ();
-  t.rto_timer <- Engine.Sim.timer sim (fun () -> on_rto t);
+  r.on_timeout <- (fun () -> on_rto t);
   Netsim.Node.attach src ~flow (handle_ack t);
   t
 
 let start t =
-  if not t.running then begin
-    t.running <- true;
+  if not t.r.running then begin
+    t.r.running <- true;
     Pacing.set_rate_pps t.pacer (pacing_rate_pps t);
     Pacing.start t.pacer
   end
 
 let stop t =
-  t.running <- false;
-  Pacing.stop t.pacer;
-  cancel_rto t
+  Reliable.stop t.r;
+  Pacing.stop t.pacer
 
 let flow t =
-  {
-    Flow.id = t.flow_id;
-    protocol = "BBR";
-    start = (fun () -> start t);
-    stop = (fun () -> stop t);
-    pkts_sent = (fun () -> t.pkts_sent);
-    bytes_sent = (fun () -> float_of_int t.bytes_sent);
-    bytes_delivered = (fun () -> Sink.bytes_received t.sink);
-    current_rate =
-      (fun () ->
-        if t.btl_bw > 0. then t.btl_bw *. float_of_int t.cfg.pkt_size
-        else 0.);
-    srtt = (fun () -> t.srtt);
-    stats =
-      (fun () ->
-        {
-          Flow.sent_pkts = t.pkts_sent;
-          sent_bytes = float_of_int t.bytes_sent;
-          delivered_bytes = Sink.bytes_received t.sink;
-          rtx_pkts = t.n_rtx_pkts;
-          timeouts = t.n_timeouts;
-          fast_rtx = t.n_fast_rtx;
-          stat_srtt = t.srtt;
-        });
-    ff = None;
-  }
+  Reliable.flow t.r ~protocol:"BBR"
+    ~start:(fun () -> start t)
+    ~stop:(fun () -> stop t)
+    ~current_rate:(fun () ->
+      if t.btl_bw > 0. then t.btl_bw *. float_of_int t.cfg.pkt_size else 0.)
+    ~ff:None
 
 let mode t = mode_name t.mode
 let btl_bw_pps t = t.btl_bw
 let rtprop t = if Float.is_finite t.rtprop then t.rtprop else 0.
-let rto t = current_rto t
+let rto t = Reliable.rto t.r
 let pacing_rate t = pacing_rate_pps t
-let timeouts t = t.n_timeouts
-let fast_retransmits t = t.n_fast_rtx
+let timeouts t = t.r.timeouts
+let fast_retransmits t = t.r.fast_rtx

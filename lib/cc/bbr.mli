@@ -11,16 +11,14 @@
     re-measure the propagation delay.  The PROBE_BW cycle starts at a
     fixed phase so runs are deterministic.
 
-    Loss does not alter the model (BBR v1): recovery is 3-dupack
-    retransmit plus go-back-N on a [min_rto]-floored, backed-off timeout,
+    Loss does not alter the model (BBR v1): recovery is {!Reliable}'s
+    3-dupack retransmit plus go-back-N on a floored, backed-off timeout,
     with the bandwidth/RTT filters preserved across both. *)
 
 type config = {
   pkt_size : int;
   initial_cwnd : float;
   initial_rtt : float;  (** seeds the pacing rate before any sample *)
-  min_rto : float;
-  max_rto : float;
   bw_filter_rounds : int;
   rtprop_window : float;
   probe_rtt_duration : float;
@@ -28,8 +26,8 @@ type config = {
 }
 
 val default_config : config
-(** 1000-byte packets, initial cwnd 4, 100 ms initial-RTT guess, min_rto
-    0.2 s, 10-round bandwidth filter, 10 s rtprop window, 200 ms
+(** 1000-byte packets, initial cwnd 4, 100 ms initial-RTT guess,
+    10-round bandwidth filter, 10 s rtprop window, 200 ms
     PROBE_RTT, pipe full after 3 flat rounds. *)
 
 type t
@@ -65,8 +63,7 @@ val rtprop : t -> float
 (** Propagation-RTT estimate in seconds (0 until the first sample). *)
 
 val rto : t -> float
-(** Current retransmit timeout, including backoff; never below
-    [cfg.min_rto]. *)
+(** Current retransmit timeout ({!Reliable.rto}, 0.2 s floor). *)
 
 val pacing_rate : t -> float
 (** Current pacing rate in packets per second. *)

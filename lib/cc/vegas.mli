@@ -11,9 +11,8 @@
     propagation-RTT estimate is a windowed minimum aged over
     [base_rtt_window] seconds (two rotating half-window buckets), so it
     recovers from route changes and persistent standing queues.  RTT
-    samples obey Karn's rule, and the retransmit timer is floored at
-    [min_rto].  Loss recovery is 3-dupack retransmit with a 3/4 decrease
-    and go-back-N on timeout. *)
+    samples obey Karn's rule.  Loss recovery is {!Reliable}'s 3-dupack
+    retransmit, here with a 3/4 decrease, and go-back-N on timeout. *)
 
 type config = {
   alpha : float;
@@ -22,14 +21,12 @@ type config = {
   pkt_size : int;
   initial_window : float;
   max_window : float;
-  min_rto : float;
-  max_rto : float;
   base_rtt_window : float;
 }
 
 val default_config : config
 (** alpha 2, beta 4, gamma 1 (packets of standing queue), 1000-byte
-    packets, initial window 2, min_rto 0.2 s, base-RTT aging over 10 s. *)
+    packets, initial window 2, base-RTT aging over 10 s. *)
 
 type t
 
@@ -57,8 +54,7 @@ val cwnd : t -> float
 val srtt : t -> float
 
 val rto : t -> float
-(** Current retransmit timeout, including backoff; never below
-    [cfg.min_rto]. *)
+(** Current retransmit timeout ({!Reliable.rto}, 0.2 s floor). *)
 
 val in_slow_start : t -> bool
 

@@ -81,7 +81,6 @@ type config = {
   initial_ssthresh : float option;
   max_window : float;
   min_rto : float;
-  max_rto : float;
   total_pkts : int option;
   react_to_ecn : bool;
   delayed_acks : bool;
@@ -98,7 +97,6 @@ let default_config rule =
     initial_ssthresh = None;
     max_window = 10000.;
     min_rto = 0.2;
-    max_rto = 64.;
     total_pkts = None;
     react_to_ecn = true;
     delayed_acks = false;
@@ -106,48 +104,22 @@ let default_config rule =
   }
 
 type t = {
-  sim : Engine.Sim.t;
   cfg : config;
-  src : Netsim.Node.t;
-  dst : Netsim.Node.t;
-  flow_id : int;
-  sink : Sink.t;
-  (* --- sender state --- *)
-  mutable running : bool;
+  r : Reliable.t;  (* sequence space, RTT/RTO, counters, sink *)
   mutable finished : bool;
-  mutable snd_una : int;  (* lowest unacked sequence number *)
-  mutable snd_nxt : int;  (* next new sequence number to send *)
   mutable cwnd : float;
   mutable ssthresh : float;
-  mutable high_water : int;  (* highest sequence ever transmitted + 1 *)
-  mutable dupacks : int;
-  mutable in_recovery : bool;
-  mutable recover : int;  (* fast-recovery exit point *)
   mutable first_partial_done : bool;  (* NewReno "Impatient" timer rule *)
   mutable no_fastrtx_until : float;  (* quiet period after a timeout *)
   mutable ecn_guard : int;  (* no new ECN reduction until acked past this *)
   (* --- SACK scoreboard (cfg.sack only) --- *)
   mutable sacked : IntSet.t;  (* selectively acked seqs above snd_una *)
   mutable hole_rtx : IntSet.t;  (* holes retransmitted this recovery *)
-  (* --- RTT estimation --- *)
-  mutable srtt : float;
-  mutable rttvar : float;
-  mutable rtt_valid : bool;
-  mutable backoff : float;
-  mutable rto_timer : Engine.Sim.timer;
-      (* one reusable timer for the flow's lifetime: re-arming per ack
-         allocates nothing, unlike an [after_cancellable] handle *)
   (* BSD-style RTT timing: one probe segment at a time, invalidated by any
      retransmission episode (Karn's algorithm).  Timing via cumulative
      acks of arbitrary segments would charge hole-recovery time to the
      path and blow up the estimate under heavy loss. *)
   mutable rtt_probe : (int * float) option;  (* seq, send time *)
-  (* --- counters --- *)
-  mutable pkts_sent : int;
-  mutable bytes_sent : int;
-  mutable n_timeouts : int;
-  mutable n_fast_rtx : int;
-  mutable n_rtx_pkts : int;
   (* --- fluid fast-forward --- *)
   mutable ff_suspended : bool;
   mutable ff_delivered : int;  (* fluid pkts credited since suspend *)
@@ -158,57 +130,47 @@ type t = {
    dupacks never widen the window (duplicate data after a go-back-N
    retransmission would otherwise snowball). *)
 let effective_window t =
-  if t.in_recovery && not t.cfg.sack then t.cwnd +. float_of_int t.dupacks
+  if t.r.in_recovery && not t.cfg.sack then
+    t.cwnd +. float_of_int t.r.dupacks
   else t.cwnd
-let inflight t = t.snd_nxt - t.snd_una
+let inflight t = Reliable.inflight t.r
 
 (* RFC 3517-style pipe estimate: selectively acked segments are no longer
    in the network. *)
 let pipe t =
   if t.cfg.sack then inflight t - IntSet.cardinal t.sacked else inflight t
 
-let current_rto t =
-  let base = if t.rtt_valid then t.srtt +. (4. *. t.rttvar) else 1.0 in
-  (* Floor at the configured minimum *before* the exponential backoff
-     multiplies in: a low-RTT path (srtt + 4*rttvar << min_rto) must not
-     collapse the timer below [min_rto] and fire spurious retransmits. *)
-  let floored = Float.max t.cfg.min_rto base in
-  Float.min t.cfg.max_rto (floored *. t.backoff)
-
 let transmit t ~seq =
-  let pkt =
-    Netsim.Packet.make ~size:t.cfg.pkt_size ~seq ~flow:t.flow_id
-      ~src:(Netsim.Node.id t.src) ~dst:(Netsim.Node.id t.dst)
-      ~sent_at:(Engine.Sim.now t.sim) ()
-  in
-  t.pkts_sent <- t.pkts_sent + 1;
-  t.bytes_sent <- t.bytes_sent + t.cfg.pkt_size;
-  if seq < t.high_water then begin
+  if Reliable.transmit t.r ~seq then begin
     (* Retransmission: never time it, and invalidate any probe it could
        overlap (Karn). *)
-    t.n_rtx_pkts <- t.n_rtx_pkts + 1;
-    (match t.rtt_probe with
+    match t.rtt_probe with
     | Some (probe_seq, _) when probe_seq >= seq -> t.rtt_probe <- None
-    | Some _ | None -> ())
+    | Some _ | None -> ()
   end
-  else begin
-    if t.rtt_probe = None then
-      t.rtt_probe <- Some (seq, Engine.Sim.now t.sim);
-    t.high_water <- seq + 1
-  end;
-  Netsim.Node.inject t.src pkt
+  else if t.rtt_probe = None then
+    t.rtt_probe <- Some (seq, Engine.Sim.now t.r.sim)
+
+let send_next t =
+  transmit t ~seq:t.r.snd_nxt;
+  t.r.snd_nxt <- t.r.snd_nxt + 1
 
 (* Merge the ack's SACK blocks into the scoreboard, pruning below the
    cumulative point. *)
-let merge_sack t blocks =
-  List.iter
-    (fun (lo, hi) ->
-      for seq = lo to hi - 1 do
-        if seq >= t.snd_una && seq < t.snd_nxt then
-          t.sacked <- IntSet.add seq t.sacked
-      done)
-    blocks;
-  t.sacked <- IntSet.filter (fun seq -> seq >= t.snd_una) t.sacked
+let merge_sack t (pkt : Netsim.Packet.t) =
+  (match pkt.Netsim.Packet.payload with
+  | Netsim.Packet.Ack { sack; cum_seq = _ } ->
+    List.iter
+      (fun (lo, hi) ->
+        for seq = lo to hi - 1 do
+          if seq >= t.r.snd_una && seq < t.r.snd_nxt then
+            t.sacked <- IntSet.add seq t.sacked
+        done)
+      sack
+  | Netsim.Packet.Plain | Netsim.Packet.Rap_ack _ | Netsim.Packet.Tfrc_data _
+  | Netsim.Packet.Tfrc_fb _ | Netsim.Packet.Tear_fb _ ->
+    ());
+  t.sacked <- IntSet.filter (fun seq -> seq >= t.r.snd_una) t.sacked
 
 (* A hole is deemed lost when at least three selectively acked segments
    lie above it (the SACK analogue of three dupacks). *)
@@ -219,53 +181,36 @@ let next_lost_hole t =
       IntSet.cardinal (IntSet.filter (fun x -> x > seq) t.sacked)
     in
     let rec scan seq =
-      if seq >= t.snd_nxt then None
+      if seq >= t.r.snd_nxt then None
       else if IntSet.mem seq t.sacked then scan (seq + 1)
       else if IntSet.mem seq t.hole_rtx then scan (seq + 1)
       else if above seq >= 3 then Some seq
       else None
     in
-    scan t.snd_una
+    scan t.r.snd_una
   end
 
-let cancel_rto t = Engine.Sim.disarm t.rto_timer
-
-let restart_rto t =
-  if t.running && t.snd_una < t.snd_nxt then
-    Engine.Sim.arm_after t.rto_timer (current_rto t)
-  else cancel_rto t
-
+(* The core has counted the timeout, doubled the backoff and rewound to
+   the first hole. *)
 let on_rto t =
-  if t.running && t.snd_una < t.snd_nxt then begin
-    t.n_timeouts <- t.n_timeouts + 1;
-    Log.debug (fun m ->
-        m "t=%.3f flow=%d rto: cwnd=%.1f backoff=%.0fx snd_una=%d"
-          (Engine.Sim.now t.sim) t.flow_id t.cwnd t.backoff t.snd_una);
-    t.ssthresh <- Float.max 2. (t.cfg.rule.decrease t.cwnd);
-    t.cwnd <- 1.;
-    t.backoff <- Float.min 64. (t.backoff *. 2.);
-    t.in_recovery <- false;
-    t.dupacks <- 0;
-    (* Go-back-N: resume from the first hole; everything in flight is
-       presumed lost (how ns-2's one-bit-ack TCPs behave on timeout). *)
-    t.snd_nxt <- t.snd_una;
-    (* Dupacks caused by pre-timeout duplicates must not trigger fast
-       retransmit until the whole old window is acked (RFC 6582 s4). *)
-    t.recover <- t.high_water;
-    t.sacked <- IntSet.empty;
-    t.hole_rtx <- IntSet.empty;
-    t.no_fastrtx_until <-
-      Engine.Sim.now t.sim +. (if t.rtt_valid then t.srtt else t.cfg.min_rto);
-    transmit t ~seq:t.snd_nxt;
-    t.snd_nxt <- t.snd_nxt + 1;
-    restart_rto t
-  end
+  Log.debug (fun m ->
+      m "t=%.3f flow=%d rto: cwnd=%.1f backoff now %.0fx snd_una=%d"
+        (Engine.Sim.now t.r.sim) t.r.flow_id t.cwnd t.r.backoff t.r.snd_una);
+  t.ssthresh <- Float.max 2. (t.cfg.rule.decrease t.cwnd);
+  t.cwnd <- 1.;
+  t.sacked <- IntSet.empty;
+  t.hole_rtx <- IntSet.empty;
+  t.no_fastrtx_until <-
+    Engine.Sim.now t.r.sim
+    +. (if t.r.rtt_valid then t.r.srtt else t.cfg.min_rto);
+  send_next t;
+  Reliable.restart_rto t.r
 
 let total_limit t =
   match t.cfg.total_pkts with Some n -> n | None -> max_int
 
 let try_send t =
-  if t.running then begin
+  if t.r.running then begin
     let limit = total_limit t in
     if t.cfg.sack then begin
       (* Fill the pipe: retransmit deemed-lost holes first, then new data. *)
@@ -277,38 +222,24 @@ let try_send t =
           transmit t ~seq:hole;
           t.hole_rtx <- IntSet.add hole t.hole_rtx
         | None ->
-          if t.snd_nxt < limit then begin
-            transmit t ~seq:t.snd_nxt;
-            t.snd_nxt <- t.snd_nxt + 1
-          end
-          else progress := false
+          if t.r.snd_nxt < limit then send_next t else progress := false
       done
     end
     else
       while
-        t.snd_nxt < limit
+        t.r.snd_nxt < limit
         && float_of_int (inflight t) < Float.floor (effective_window t)
       do
-        transmit t ~seq:t.snd_nxt;
-        t.snd_nxt <- t.snd_nxt + 1
+        send_next t
       done;
-    if not (Engine.Sim.timer_armed t.rto_timer) then restart_rto t
+    Reliable.ensure_rto t.r
   end
 
 let sample_rtt t ~acked_up_to =
   match t.rtt_probe with
   | Some (seq, sent_at) when acked_up_to > seq ->
     t.rtt_probe <- None;
-    let sample = Engine.Sim.now t.sim -. sent_at in
-    if t.rtt_valid then begin
-      t.rttvar <- (0.75 *. t.rttvar) +. (0.25 *. Float.abs (t.srtt -. sample));
-      t.srtt <- (0.875 *. t.srtt) +. (0.125 *. sample)
-    end
-    else begin
-      t.srtt <- sample;
-      t.rttvar <- sample /. 2.;
-      t.rtt_valid <- true
-    end
+    Reliable.rtt_sample t.r (Engine.Sim.now t.r.sim -. sent_at)
   | Some _ | None -> ()
 
 let grow_window t ~acked_pkts =
@@ -325,169 +256,123 @@ let congestion_decrease t =
 let complete t =
   if not t.finished then begin
     t.finished <- true;
-    t.running <- false;
-    cancel_rto t;
+    Reliable.stop t.r;
     match t.cfg.on_complete with Some f -> f () | None -> ()
   end
 
 let enter_fast_recovery t =
-  t.n_fast_rtx <- t.n_fast_rtx + 1;
+  let r = t.r in
+  Reliable.enter_recovery r;
   Log.debug (fun m ->
       m "t=%.3f flow=%d fast retransmit: cwnd=%.1f snd_una=%d"
-        (Engine.Sim.now t.sim) t.flow_id t.cwnd t.snd_una);
+        (Engine.Sim.now r.sim) r.flow_id t.cwnd r.snd_una);
   (match t.cfg.variant with
   | Reno ->
-    t.in_recovery <- true;
-    t.recover <- t.snd_nxt;
     t.first_partial_done <- false;
     t.hole_rtx <- IntSet.empty;
-    congestion_decrease t
+    congestion_decrease t;
+    transmit t ~seq:r.snd_una
   | Tahoe ->
     (* Tahoe: retransmit, then slow-start from scratch. *)
     t.ssthresh <- Float.max 2. (t.cfg.rule.decrease t.cwnd);
     t.cwnd <- 1.;
-    t.recover <- t.high_water;
-    t.snd_nxt <- t.snd_una;
-    t.dupacks <- 0);
-  transmit t ~seq:t.snd_una;
-  (match t.cfg.variant with Tahoe -> t.snd_nxt <- t.snd_una + 1 | Reno -> ());
-  restart_rto t
+    Reliable.go_back_n r;
+    send_next t);
+  Reliable.restart_rto r
 
 let on_new_ack t cum =
-  let acked = cum - t.snd_una in
+  let r = t.r in
+  let acked = cum - r.snd_una in
   sample_rtt t ~acked_up_to:cum;
-  t.snd_una <- cum;
-  t.backoff <- 1.;
+  let progress = Reliable.new_ack r cum in
   if t.cfg.sack then begin
     t.sacked <- IntSet.filter (fun seq -> seq >= cum) t.sacked;
     t.hole_rtx <- IntSet.filter (fun seq -> seq >= cum) t.hole_rtx
   end;
-  if t.in_recovery then begin
-    if cum > t.recover then begin
-      (* Full ack: recovery over; window already set by the decrease. *)
-      t.in_recovery <- false;
-      t.dupacks <- 0;
-      t.hole_rtx <- IntSet.empty;
-      restart_rto t
+  (match progress with
+  | Reliable.Full ->
+    (* Recovery over; window already set by the decrease. *)
+    t.hole_rtx <- IntSet.empty;
+    Reliable.restart_rto r
+  | Reliable.Partial ->
+    (* The next hole is lost too.  With SACK the scoreboard drives
+       retransmissions from try_send; without it, retransmit the hole
+       directly (NewReno).  Per NewReno's "Impatient" variant only the
+       first partial ack restarts the retransmit timer, so recovery from a
+       large loss burst ends in a timeout instead of dragging on for one
+       hole per RTT. *)
+    if not t.cfg.sack then transmit t ~seq:r.snd_una;
+    r.dupacks <- max 0 (r.dupacks - acked);
+    if not t.first_partial_done then begin
+      t.first_partial_done <- true;
+      Reliable.restart_rto r
     end
-    else begin
-      (* Partial ack: the next hole is lost too.  With SACK the scoreboard
-         drives retransmissions from try_send; without it, retransmit the
-         hole directly (NewReno).  Per NewReno's "Impatient" variant only
-         the first partial ack restarts the retransmit timer, so recovery
-         from a large loss burst ends in a timeout instead of dragging on
-         for one hole per RTT. *)
-      if not t.cfg.sack then transmit t ~seq:t.snd_una;
-      t.dupacks <- max 0 (t.dupacks - acked);
-      if not t.first_partial_done then begin
-        t.first_partial_done <- true;
-        restart_rto t
-      end
-    end
-  end
-  else begin
-    t.dupacks <- 0;
+  | Reliable.Open ->
     grow_window t ~acked_pkts:acked;
-    restart_rto t
-  end;
-  if t.snd_una >= total_limit t then complete t else try_send t
+    Reliable.restart_rto r);
+  if r.snd_una >= total_limit t then complete t else try_send t
 
 let on_dup_ack t =
-  if not t.finished then begin
-    t.dupacks <- t.dupacks + 1;
-    if
-      (not t.in_recovery)
-      && t.dupacks = 3
-      && t.snd_una > t.recover
-      && Engine.Sim.now t.sim >= t.no_fastrtx_until
-    then enter_fast_recovery t
-    else try_send t
-  end
+  if Reliable.dup_ack t.r && Engine.Sim.now t.r.sim >= t.no_fastrtx_until then
+    enter_fast_recovery t
+  else try_send t
 
 let on_ecn t =
-  if t.cfg.react_to_ecn && t.snd_una > t.ecn_guard then begin
+  if t.cfg.react_to_ecn && t.r.snd_una > t.ecn_guard then begin
     congestion_decrease t;
-    t.ecn_guard <- t.snd_nxt
+    t.ecn_guard <- t.r.snd_nxt
   end
 
 let handle_ack t (pkt : Netsim.Packet.t) =
-  (if t.running then
-     match pkt.Netsim.Packet.payload with
-     | Netsim.Packet.Ack { cum_seq; sack } ->
-       if t.cfg.sack then merge_sack t sack;
-       if pkt.Netsim.Packet.ecn then on_ecn t;
-       if cum_seq > t.snd_una then on_new_ack t cum_seq
-       else if cum_seq = t.snd_una && t.snd_una < t.snd_nxt then on_dup_ack t
-       (* cum_seq < snd_una: a stale ack from before a timeout's go-back-N
-          rewind.  It carries no information about the current window and
-          must not count towards the three-dupack threshold. *)
-     | Netsim.Packet.Plain | Netsim.Packet.Rap_ack _ | Netsim.Packet.Tfrc_data _
-     | Netsim.Packet.Tfrc_fb _ | Netsim.Packet.Tear_fb _ ->
-       ());
-  (* This sender is the sole consumer of its sink's pooled acks; nothing
-     above retains the packet or its sack list past this point. *)
-  Netsim.Packet.release pkt
+  (match Reliable.classify t.r pkt with
+  | Reliable.Ignore -> ()
+  | kind -> (
+    if t.cfg.sack then merge_sack t pkt;
+    if pkt.Netsim.Packet.ecn then on_ecn t;
+    match kind with
+    | Reliable.New -> on_new_ack t (Reliable.cum_seq pkt)
+    | Reliable.Dup -> on_dup_ack t
+    | Reliable.Stale | Reliable.Ignore -> ()));
+  Reliable.release pkt
 
 let create ~sim ~src ~dst ~flow cfg =
   if cfg.initial_window < 1. then invalid_arg "Window_cc: initial_window";
-  let sink =
-    Sink.attach ~sack:cfg.sack ~delayed_acks:cfg.delayed_acks ~sim ~node:dst
-      ~flow ~peer:(Netsim.Node.id src) ()
+  let r =
+    Reliable.create ~min_rto:cfg.min_rto ~sack:cfg.sack
+      ~delayed_acks:cfg.delayed_acks ~sim ~src ~dst ~flow
+      ~pkt_size:cfg.pkt_size ()
   in
   let t =
     {
-      sim;
       cfg;
-      src;
-      dst;
-      flow_id = flow;
-      sink;
-      running = false;
+      r;
       finished = false;
-      snd_una = 0;
-      snd_nxt = 0;
-      high_water = 0;
       cwnd = cfg.initial_window;
       ssthresh =
         (match cfg.initial_ssthresh with
         | Some s -> s
         | None -> cfg.max_window);
-      dupacks = 0;
-      in_recovery = false;
-      recover = -1;
       first_partial_done = false;
       no_fastrtx_until = 0.;
       ecn_guard = 0;
       sacked = IntSet.empty;
       hole_rtx = IntSet.empty;
-      srtt = 0.;
-      rttvar = 0.;
-      rtt_valid = false;
-      backoff = 1.;
-      rto_timer = Engine.Sim.timer sim ignore;
       rtt_probe = None;
-      pkts_sent = 0;
-      bytes_sent = 0;
-      n_timeouts = 0;
-      n_fast_rtx = 0;
-      n_rtx_pkts = 0;
       ff_suspended = false;
       ff_delivered = 0;
     }
   in
-  t.rto_timer <- Engine.Sim.timer sim (fun () -> on_rto t);
+  r.on_timeout <- (fun () -> on_rto t);
   Netsim.Node.attach src ~flow (handle_ack t);
   t
 
 let start t =
-  if not (t.running || t.finished) then begin
-    t.running <- true;
+  if not (t.r.running || t.finished) then begin
+    t.r.running <- true;
     try_send t
   end
 
-let stop t =
-  t.running <- false;
-  cancel_rto t
+let stop t = Reliable.stop t.r
 
 (* --- fluid fast-forward ------------------------------------------------ *)
 
@@ -495,10 +380,9 @@ let stop t =
    non-running sender ignores and releases); the RTO must not fire while
    frozen.  Idempotent; a no-op unless the flow is actively running. *)
 let ff_suspend t =
-  if t.running && not t.ff_suspended then begin
+  if t.r.running && not t.ff_suspended then begin
     t.ff_suspended <- true;
-    t.running <- false;
-    cancel_rto t;
+    Reliable.stop t.r;
     t.rtt_probe <- None
   end
 
@@ -507,20 +391,18 @@ let ff_suspend t =
    at resume, in one jump. *)
 let ff_credit t ~sent ~delivered =
   if t.ff_suspended && sent >= 0 && delivered >= 0 then begin
-    t.pkts_sent <- t.pkts_sent + sent;
-    t.bytes_sent <- t.bytes_sent + (sent * t.cfg.pkt_size);
     t.ff_delivered <- t.ff_delivered + delivered;
-    Sink.ff_credit t.sink ~pkts:delivered ~pkt_size:t.cfg.pkt_size
+    Reliable.credit t.r ~sent ~delivered
   end
 
 (* Analytic steady-state rate at loss-event rate [p], packets/s: the
    rule's sawtooth average over the flow's measured RTT.  0 until an RTT
    sample exists (the controller will not credit such a flow). *)
 let ff_rate_pps t ~p =
-  if t.rtt_valid && t.srtt > 0. then
+  if t.r.rtt_valid && t.r.srtt > 0. then
     match sawtooth_model ~rule:t.cfg.rule ~max_window:t.cfg.max_window ~p with
-    | Some (pkts_per_rtt, _) -> pkts_per_rtt /. t.srtt
-    | None -> t.cwnd /. t.srtt  (* p = 0: keep the current window's rate *)
+    | Some (pkts_per_rtt, _) -> pkts_per_rtt /. t.r.srtt
+    | None -> t.cwnd /. t.r.srtt  (* p = 0: keep the current window's rate *)
   else 0.
 
 (* Thaw: re-seed exact packet-level state consistent with steady state at
@@ -536,27 +418,19 @@ let ff_resume t ~p =
   if t.ff_suspended then begin
     t.ff_suspended <- false;
     (match sawtooth_model ~rule:t.cfg.rule ~max_window:t.cfg.max_window ~p with
-    | Some (avg, peak) when t.rtt_valid ->
+    | Some (avg, peak) when t.r.rtt_valid ->
       t.cwnd <- Float.min t.cfg.max_window (Float.max 1. avg);
       t.ssthresh <- Float.max 2. (t.cfg.rule.decrease peak)
     | Some _ | None -> ());
-    let s = max t.high_water (Sink.cumulative t.sink) + t.ff_delivered in
+    let s = Reliable.jump t.r ~delivered:t.ff_delivered in
     t.ff_delivered <- 0;
-    t.snd_una <- s;
-    t.snd_nxt <- s;
-    t.high_water <- s;
-    t.dupacks <- 0;
-    t.in_recovery <- false;
-    t.recover <- s - 1;
     t.first_partial_done <- false;
     t.sacked <- IntSet.empty;
     t.hole_rtx <- IntSet.empty;
     t.rtt_probe <- None;
-    t.backoff <- 1.;
     t.ecn_guard <- s - 1;
-    Sink.fast_forward t.sink ~next_expected:s;
     if not t.finished then begin
-      t.running <- true;
+      t.r.running <- true;
       try_send t
     end
   end
@@ -596,69 +470,49 @@ let export_state t =
   {
     s_cwnd = t.cwnd;
     s_ssthresh = t.ssthresh;
-    s_snd_una = t.snd_una;
-    s_snd_nxt = t.snd_nxt;
-    s_high_water = t.high_water;
-    s_srtt = t.srtt;
-    s_rttvar = t.rttvar;
-    s_rtt_valid = t.rtt_valid;
-    s_backoff = t.backoff;
+    s_snd_una = t.r.snd_una;
+    s_snd_nxt = t.r.snd_nxt;
+    s_high_water = t.r.high_water;
+    s_srtt = t.r.srtt;
+    s_rttvar = t.r.rttvar;
+    s_rtt_valid = t.r.rtt_valid;
+    s_backoff = t.r.backoff;
   }
 
 (* Import clears the transient loss-recovery machinery: an imported
    state is by definition between recovery episodes. *)
 let import_state t s =
+  let r = t.r in
   t.cwnd <- s.s_cwnd;
   t.ssthresh <- s.s_ssthresh;
-  t.snd_una <- s.s_snd_una;
-  t.snd_nxt <- s.s_snd_nxt;
-  t.high_water <- s.s_high_water;
-  t.srtt <- s.s_srtt;
-  t.rttvar <- s.s_rttvar;
-  t.rtt_valid <- s.s_rtt_valid;
-  t.backoff <- s.s_backoff;
-  t.dupacks <- 0;
-  t.in_recovery <- false;
-  t.recover <- s.s_snd_una - 1;
+  r.snd_una <- s.s_snd_una;
+  r.snd_nxt <- s.s_snd_nxt;
+  r.high_water <- s.s_high_water;
+  r.srtt <- s.s_srtt;
+  r.rttvar <- s.s_rttvar;
+  r.rtt_valid <- s.s_rtt_valid;
+  r.backoff <- s.s_backoff;
+  Reliable.clear_recovery r;
   t.first_partial_done <- false;
   t.sacked <- IntSet.empty;
   t.hole_rtx <- IntSet.empty;
   t.rtt_probe <- None
 
 let flow t =
-  {
-    Flow.id = t.flow_id;
-    protocol = t.cfg.rule.name;
-    start = (fun () -> start t);
-    stop = (fun () -> stop t);
-    pkts_sent = (fun () -> t.pkts_sent);
-    bytes_sent = (fun () -> float_of_int t.bytes_sent);
-    bytes_delivered = (fun () -> Sink.bytes_received t.sink);
-    current_rate =
-      (fun () ->
-        if t.rtt_valid && t.srtt > 0. then
-          t.cwnd *. float_of_int t.cfg.pkt_size /. t.srtt
-        else 0.);
-    srtt = (fun () -> t.srtt);
-    stats =
-      (fun () ->
-        {
-          Flow.sent_pkts = t.pkts_sent;
-          sent_bytes = float_of_int t.bytes_sent;
-          delivered_bytes = Sink.bytes_received t.sink;
-          rtx_pkts = t.n_rtx_pkts;
-          timeouts = t.n_timeouts;
-          fast_rtx = t.n_fast_rtx;
-          stat_srtt = t.srtt;
-        });
-    ff = ff_ops t;
-  }
+  Reliable.flow t.r ~protocol:t.cfg.rule.name
+    ~start:(fun () -> start t)
+    ~stop:(fun () -> stop t)
+    ~current_rate:(fun () ->
+      if t.r.rtt_valid && t.r.srtt > 0. then
+        t.cwnd *. float_of_int t.cfg.pkt_size /. t.r.srtt
+      else 0.)
+    ~ff:(ff_ops t)
 
 let cwnd t = t.cwnd
 let ssthresh t = t.ssthresh
-let srtt t = t.srtt
-let rto t = current_rto t
-let timeouts t = t.n_timeouts
-let fast_retransmits t = t.n_fast_rtx
-let retransmitted_pkts t = t.n_rtx_pkts
+let srtt t = t.r.srtt
+let rto t = Reliable.rto t.r
+let timeouts t = t.r.timeouts
+let fast_retransmits t = t.r.fast_rtx
+let retransmitted_pkts t = t.r.rtx_pkts
 let finished t = t.finished

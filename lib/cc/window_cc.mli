@@ -10,7 +10,9 @@
     duplicate-ack fast retransmit with NewReno-style partial-ack recovery,
     retransmit timeouts with exponential backoff, Karn's algorithm for RTT
     sampling, and strict self-clocking (data leaves only on ack arrival or
-    timer expiry — the packet-conservation principle of Section 4.1). *)
+    timer expiry — the packet-conservation principle of Section 4.1).
+    The transport mechanism itself is {!Reliable}'s; this module holds
+    the window policy. *)
 
 type rule = {
   name : string;
@@ -44,8 +46,9 @@ type config = {
       (** [Some s] starts in congestion avoidance once the window reaches
           [s]; [None] (default) slow-starts until the first loss *)
   max_window : float;
-  min_rto : float;  (** seconds; ns-2-era default 0.2 *)
-  max_rto : float;
+  min_rto : float;
+      (** RTO floor in seconds; ns-2-era default 0.2.  The ceiling (64 s)
+          and the backoff cap (64x) are {!Reliable} constants. *)
   total_pkts : int option;  (** [Some n] for a short transfer of n packets *)
   react_to_ecn : bool;
   delayed_acks : bool;  (** receiver acks every other packet *)
@@ -116,9 +119,8 @@ val import_state : t -> state -> unit
 (** Introspection for tests and instrumentation. *)
 val cwnd : t -> float
 
-(** Current retransmit timeout as the RTO timer would arm it: backoff
-    applied to [srtt + 4*rttvar] (1 s before the first valid sample),
-    floored at [cfg.min_rto] and capped at [cfg.max_rto]. *)
+(** Current retransmit timeout as the RTO timer would arm it
+    ({!Reliable.rto} with [cfg.min_rto] as the floor). *)
 val rto : t -> float
 
 val ssthresh : t -> float

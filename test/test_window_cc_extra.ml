@@ -120,40 +120,100 @@ let test_srtt_stable_under_heavy_loss () =
     true
     (srtt > 0.04 && srtt < 0.15)
 
+(* The three senders built on [Cc.Reliable] behind one handle, so the
+   transport contract is checked against each of them. *)
+type reliable_sender = {
+  name : string;
+  flow : Cc.Flow.t;
+  rto : unit -> float;
+  control : unit -> float;  (* cwnd, or BBR's pacing rate *)
+  src : Netsim.Node.t;
+  dst : Netsim.Node.t;
+}
+
+(* Run [f] against each sender, alone on its own 50 Mbps dumbbell. *)
+let each_reliable_sender ?queue f =
+  let build kind =
+    let sim = Engine.Sim.create () in
+    let rng = Engine.Rng.create ~seed:5 in
+    let config = Netsim.Dumbbell.default_config ~bandwidth:50e6 in
+    let config =
+      match queue with
+      | None -> config
+      | Some q -> { config with Netsim.Dumbbell.queue = q sim }
+    in
+    let db = Netsim.Dumbbell.create ~sim ~rng config in
+    let src, dst = Netsim.Dumbbell.add_host_pair db in
+    let flow = Netsim.Dumbbell.fresh_flow db in
+    let s =
+      match kind with
+      | `Window_cc ->
+        let w =
+          Cc.Window_cc.create ~sim ~src ~dst ~flow
+            (Cc.Window_cc.default_config
+               (Cc.Window_cc.tcp_compatible_aimd ~b:0.5))
+        in
+        {
+          name = "window_cc";
+          flow = Cc.Window_cc.flow w;
+          rto = (fun () -> Cc.Window_cc.rto w);
+          control = (fun () -> Cc.Window_cc.cwnd w);
+          src;
+          dst;
+        }
+      | `Bbr ->
+        let b = Cc.Bbr.create ~sim ~src ~dst ~flow Cc.Bbr.default_config in
+        {
+          name = "bbr";
+          flow = Cc.Bbr.flow b;
+          rto = (fun () -> Cc.Bbr.rto b);
+          control = (fun () -> Cc.Bbr.pacing_rate b);
+          src;
+          dst;
+        }
+      | `Vegas ->
+        let v = Cc.Vegas.create ~sim ~src ~dst ~flow Cc.Vegas.default_config in
+        {
+          name = "vegas";
+          flow = Cc.Vegas.flow v;
+          rto = (fun () -> Cc.Vegas.rto v);
+          control = (fun () -> Cc.Vegas.cwnd v);
+          src;
+          dst;
+        }
+    in
+    f sim s
+  in
+  List.iter build [ `Window_cc; `Bbr; `Vegas ]
+
 let test_stale_acks_are_not_dupacks () =
   (* Regression: an ack with cum_seq strictly below snd_una (stale
      duplicate from before a timeout's go-back-N rewind, or reordered in
      the network) used to count towards the three-dupack threshold and
      trigger a spurious fast retransmit with a window halving.  Only an
      ack for exactly snd_una is a duplicate. *)
-  let sim = Engine.Sim.create () in
-  let rng = Engine.Rng.create ~seed:5 in
-  let db =
-    Netsim.Dumbbell.create ~sim ~rng
-      (Netsim.Dumbbell.default_config ~bandwidth:50e6)
-  in
-  let src, dst = Netsim.Dumbbell.add_host_pair db in
-  let flow_id = Netsim.Dumbbell.fresh_flow db in
-  let cfg =
-    Cc.Window_cc.default_config (Cc.Window_cc.tcp_compatible_aimd ~b:0.5)
-  in
-  let tcp = Cc.Window_cc.create ~sim ~src ~dst ~flow:flow_id cfg in
-  (Cc.Window_cc.flow tcp).Cc.Flow.start ();
-  (* A clean 50 Mbps path: after 0.3 s snd_una is far beyond seq 1. *)
-  Engine.Sim.run ~until:0.3 sim;
-  let cwnd_before = Cc.Window_cc.cwnd tcp in
-  let fast_rtx_before = Cc.Window_cc.fast_retransmits tcp in
-  for _ = 1 to 3 do
-    Netsim.Node.receive src
-      (Netsim.Packet.make ~size:40 ~flow:flow_id ~src:(Netsim.Node.id dst)
-         ~dst:(Netsim.Node.id src) ~sent_at:(Engine.Sim.now sim)
-         ~payload:(Netsim.Packet.Ack { cum_seq = 1; sack = [] })
-         ())
-  done;
-  Alcotest.(check int) "no spurious fast retransmit" fast_rtx_before
-    (Cc.Window_cc.fast_retransmits tcp);
-  Alcotest.(check (float 1e-9)) "cwnd untouched by stale acks" cwnd_before
-    (Cc.Window_cc.cwnd tcp)
+  each_reliable_sender (fun sim s ->
+      s.flow.Cc.Flow.start ();
+      (* A clean 50 Mbps path: after 0.3 s snd_una is far beyond seq 1. *)
+      Engine.Sim.run ~until:0.3 sim;
+      Alcotest.(check bool) (s.name ^ ": acked well past seq 1") true
+        (s.flow.Cc.Flow.bytes_delivered () > 10_000.);
+      let before = s.flow.Cc.Flow.stats () and control = s.control () in
+      for _ = 1 to 3 do
+        Netsim.Node.receive s.src
+          (Netsim.Packet.make ~size:40 ~flow:s.flow.Cc.Flow.id
+             ~src:(Netsim.Node.id s.dst) ~dst:(Netsim.Node.id s.src)
+             ~sent_at:(Engine.Sim.now sim)
+             ~payload:(Netsim.Packet.Ack { cum_seq = 1; sack = [] })
+             ())
+      done;
+      let after = s.flow.Cc.Flow.stats () in
+      Alcotest.(check int) (s.name ^ ": no spurious fast retransmit")
+        before.Cc.Flow.fast_rtx after.Cc.Flow.fast_rtx;
+      Alcotest.(check int) (s.name ^ ": nothing sent in response")
+        before.Cc.Flow.sent_pkts after.Cc.Flow.sent_pkts;
+      Alcotest.(check (float 1e-9)) (s.name ^ ": control untouched") control
+        (s.control ()))
 
 let test_two_flows_share_fairly () =
   let sim, db = db_fixture ~bandwidth:8e6 () in
@@ -196,7 +256,38 @@ let test_rto_min_floor_and_backoff_order () =
       s_backoff = 4.;
     };
   Alcotest.(check (float 1e-12)) "backoff scales the floored value" 0.8
-    (Cc.Window_cc.rto tcp)
+    (Cc.Window_cc.rto tcp);
+  (* The same contract, reached by simulation, for every sender: 1 s
+     before the first sample, 0.2 s on a clean 50 ms path; once a
+     blackout from 5 s has silenced every ack, each timeout doubles the
+     floored value. *)
+  let blackout sim =
+    Netsim.Dumbbell.Custom
+      (fun () ->
+        Netsim.Loss_pattern.by_phase ~sim ~phases:[ (5., 0); (100., 1) ]
+          (Netsim.Droptail.make ~capacity:800))
+  in
+  each_reliable_sender ~queue:blackout (fun sim s ->
+      Alcotest.(check (float 1e-12)) (s.name ^ ": 1 s before any sample") 1.
+        (s.rto ());
+      s.flow.Cc.Flow.start ();
+      Engine.Sim.run ~until:5. sim;
+      Alcotest.(check (float 1e-12)) (s.name ^ ": floored after samples") 0.2
+        (s.rto ());
+      Engine.Sim.run ~until:6. sim;
+      let timeouts () = (s.flow.Cc.Flow.stats ()).Cc.Flow.timeouts in
+      let n = timeouts () and backed_off = s.rto () in
+      let k = Float.round (Float.log2 (backed_off /. 0.2)) in
+      Alcotest.(check bool) (s.name ^ ": timed out in the blackout") true
+        (n >= 1 && k >= 1.);
+      Alcotest.(check (float 1e-12))
+        (s.name ^ ": a power-of-two multiple of the floor")
+        (0.2 *. (2. ** k)) backed_off;
+      while timeouts () = n do
+        Engine.Sim.run ~until:(Engine.Sim.now sim +. 0.01) sim
+      done;
+      Alcotest.(check (float 1e-12)) (s.name ^ ": next timeout doubles it")
+        (2. *. backed_off) (s.rto ()))
 
 let test_karn_rule_on_first_loss () =
   (* Karn regression: the very first data packet is dropped, so its
