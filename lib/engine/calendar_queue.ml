@@ -2,13 +2,15 @@
 
    Events live in pooled nodes held in parallel arrays ([times]/[seqs]/
    [vals]/[nexts]) and linked into per-bucket sorted lists by index, so
-   steady-state add/take touches no allocator at all — the same
+   steady-state add/pop touches no allocator at all — the same
    zero-allocation discipline as [Event_heap].  Each bucket covers a
    [width]-second window of the virtual clock; bucket [n land mask] holds
    events with [floor (time / width) = n].  Dequeue scans one calendar
    "year" (every bucket once) from the cursor; if nothing lies inside its
    own window the minimum is found by direct search, exactly as ns-2's
-   scheduler does for sparse horizons.
+   scheduler does for sparse horizons.  Each bucket also keeps a tail
+   index, so the common insert — an event later than everything already
+   in its bucket — appends in O(1) instead of walking the list.
 
    Ordering is identical to [Event_heap]: lexicographic on (time, seq)
    where [seq] is the global insertion counter, so FIFO within equal
@@ -30,13 +32,17 @@ type 'a t = {
   mutable free : int;  (* free-list head, -1 when the pool is full *)
   (* calendar *)
   mutable buckets : int array;  (* per-bucket list head, -1 when empty *)
+  mutable tails : int array;
+      (* per-bucket last node; meaningful only while the head is >= 0 *)
   mutable mask : int;  (* nbuckets - 1; nbuckets is a power of two *)
   mutable width : float;  (* seconds covered by one bucket *)
   mutable cur : int;  (* absolute bucket number of the search cursor *)
   mutable size : int;
   mutable next_seq : int;
-  staging : floatarray;  (* unboxed hand-off slot for [add] *)
-  (* Last (time, seq) handed out by [take]; only read/written under
+  staging : floatarray;
+      (* cell 0: unboxed hand-off slot for [add]; cell 1: time of the
+         event [take_until] last returned *)
+  (* Last (time, seq) handed out by [take_until]; only read/written under
      [Audit.invariants_on] to assert (time, insertion-order) pop order. *)
   mutable last_pop_time : float;
   mutable last_pop_seq : int;
@@ -55,12 +61,13 @@ let create () =
     nexts = [||];
     free = -1;
     buckets = Array.make initial_buckets (-1);
+    tails = Array.make initial_buckets (-1);
     mask = initial_buckets - 1;
     width = 0.01;
     cur = 0;
     size = 0;
     next_seq = 0;
-    staging = Float.Array.create 1;
+    staging = Float.Array.create 2;
     last_pop_time = Float.neg_infinity;
     last_pop_seq = -1;
   }
@@ -97,7 +104,10 @@ let grow_pool t =
 (* Absolute bucket number of [time] under the current width. *)
 let[@inline] bucket_number t time = int_of_float (time /. t.width)
 
-(* Insert node [n] (fields already set) into its bucket's sorted list. *)
+(* Insert node [n] (fields already set) into its bucket's sorted list.
+   An event that sorts after the bucket's tail — the usual case, since
+   the simulator schedules forward — appends in O(1); only one that sorts
+   before the tail walks the list from the head. *)
 let insert_node t n =
   let time = Array.unsafe_get t.times n in
   let seq = Array.unsafe_get t.seqs n in
@@ -105,31 +115,42 @@ let insert_node t n =
   if bn < t.cur then t.cur <- bn;
   let b = bn land t.mask in
   let head = Array.unsafe_get t.buckets b in
-  if
-    head < 0
-    || time < Array.unsafe_get t.times head
-    || (time = Array.unsafe_get t.times head
-        && seq < Array.unsafe_get t.seqs head)
-  then begin
-    Array.unsafe_set t.nexts n head;
-    Array.unsafe_set t.buckets b n
+  if head < 0 then begin
+    Array.unsafe_set t.nexts n (-1);
+    Array.unsafe_set t.buckets b n;
+    Array.unsafe_set t.tails b n
   end
   else begin
-    (* Walk to the last node that precedes [n]. *)
-    let prev = ref head in
-    let continue_ = ref true in
-    while !continue_ do
-      let nx = Array.unsafe_get t.nexts !prev in
-      if nx < 0 then continue_ := false
-      else begin
+    let tail = Array.unsafe_get t.tails b in
+    let tt = Array.unsafe_get t.times tail in
+    if time > tt || (time = tt && seq > Array.unsafe_get t.seqs tail) then begin
+      Array.unsafe_set t.nexts n (-1);
+      Array.unsafe_set t.nexts tail n;
+      Array.unsafe_set t.tails b n
+    end
+    else if
+      time < Array.unsafe_get t.times head
+      || (time = Array.unsafe_get t.times head
+          && seq < Array.unsafe_get t.seqs head)
+    then begin
+      Array.unsafe_set t.nexts n head;
+      Array.unsafe_set t.buckets b n
+    end
+    else begin
+      (* Walk to the last node that precedes [n]; it stops before the
+         tail, which sorts after [n], so the tail stays put. *)
+      let prev = ref head in
+      let continue_ = ref true in
+      while !continue_ do
+        let nx = Array.unsafe_get t.nexts !prev in
         let tx = Array.unsafe_get t.times nx in
         if tx < time || (tx = time && Array.unsafe_get t.seqs nx < seq) then
           prev := nx
         else continue_ := false
-      end
-    done;
-    Array.unsafe_set t.nexts n (Array.unsafe_get t.nexts !prev);
-    Array.unsafe_set t.nexts !prev n
+      done;
+      Array.unsafe_set t.nexts n (Array.unsafe_get t.nexts !prev);
+      Array.unsafe_set t.nexts !prev n
+    end
   end
 
 (* Estimate a bucket width from the event-time distribution: three times
@@ -174,6 +195,7 @@ let resize t nb =
     t.buckets;
   t.width <- estimate_width t live;
   t.buckets <- Array.make nb (-1);
+  t.tails <- Array.make nb (-1);
   t.mask <- nb - 1;
   (* live is now sorted (estimate_width sorts it); reposition the cursor
      at the earliest event so the scan invariant [cur <= min bucket]
@@ -181,18 +203,23 @@ let resize t nb =
   t.cur <- (if t.size = 0 then 0 else bucket_number t live.(0));
   Array.iter (fun n -> insert_node t n) nodes
 
-let add_staged t v =
+(* Place a fresh node for [v] at the staged time with tie-break [seq]. *)
+let add_node t ~seq v =
   let time = Float.Array.unsafe_get t.staging 0 in
   if t.free < 0 then grow_pool t;
   let n = t.free in
   t.free <- Array.unsafe_get t.nexts n;
   Array.unsafe_set t.times n time;
-  Array.unsafe_set t.seqs n t.next_seq;
-  t.next_seq <- t.next_seq + 1;
+  Array.unsafe_set t.seqs n seq;
   Array.unsafe_set t.vals n v;
   insert_node t n;
   t.size <- t.size + 1;
   if t.size > 2 * (t.mask + 1) then resize t (2 * (t.mask + 1))
+
+let add_staged t v =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  add_node t ~seq v
 
 (* The staging slot lets an inlined caller hand the (unboxed) time to the
    out-of-line body without boxing it at the call boundary. *)
@@ -211,20 +238,13 @@ let alloc_seq t =
    consolidated RTO wheel is itself a calendar queue whose entries carry
    seqs allocated from the *simulator's* queue, so its own counter never
    advances. *)
-let add_with_seq t ~time ~seq value =
+let[@inline] add_with_seq t ~time ~seq value =
   if not (Float.is_finite time) || time < 0. then
     invalid_arg
       "Calendar_queue.add_with_seq: time must be finite and non-negative";
   if seq < 0 then invalid_arg "Calendar_queue.add_with_seq: negative seq";
-  if t.free < 0 then grow_pool t;
-  let n = t.free in
-  t.free <- Array.unsafe_get t.nexts n;
-  Array.unsafe_set t.times n time;
-  Array.unsafe_set t.seqs n seq;
-  Array.unsafe_set t.vals n (Obj.repr value);
-  insert_node t n;
-  t.size <- t.size + 1;
-  if t.size > 2 * (t.mask + 1) then resize t (2 * (t.mask + 1))
+  Float.Array.unsafe_set t.staging 0 time;
+  add_node t ~seq (Obj.repr value)
 
 (* Nothing inside its own window for a whole year: direct search over
    the bucket heads (each head is its bucket's minimum).  Rare — only
@@ -253,7 +273,7 @@ let direct_search t =
 (* Find the node to dequeue: the bucket (relative index) holding the
    earliest event, positioning [t.cur] on its year.  Assumes size > 0.
    A while loop over int refs, not a local recursive function — a [let
-   rec] closure here would be allocated on every [min_time]/[take]. *)
+   rec] closure here would be allocated on every pop. *)
 let find_min_bucket t =
   let nb = t.mask + 1 in
   let c = ref t.cur in
@@ -294,36 +314,40 @@ let remove_head t b =
   if nb > min_buckets && t.size < nb / 4 then resize t (nb / 2);
   v
 
-let take t =
-  if t.size = 0 then invalid_arg "Calendar_queue.take: empty queue";
-  let b = find_min_bucket t in
-  if Audit.invariants_on () then begin
-    let n = Array.unsafe_get t.buckets b in
-    let time = Array.unsafe_get t.times n
-    and seq = Array.unsafe_get t.seqs n in
-    if
-      time < t.last_pop_time
-      || (time = t.last_pop_time && seq < t.last_pop_seq)
-    then
-      Audit.fail
-        "Calendar_queue.take: popped (t=%.17g, seq=%d) after (t=%.17g, \
-         seq=%d) — FIFO order at equal timestamps broken"
-        time seq t.last_pop_time t.last_pop_seq;
-    t.last_pop_time <- time;
-    t.last_pop_seq <- seq
-  end;
-  Obj.obj (remove_head t b)
-
-(* Earliest time; NaN if empty — callers check [is_empty] first.  Marked
-   [@inline] so the float result stays unboxed in the drain loop. *)
-let[@inline] min_time t =
-  if t.size = 0 then Float.nan
+(* One bucket scan: the scan that finds the minimum also decides whether
+   it is due. *)
+let take_until t ~until ~none =
+  if t.size = 0 then none
   else begin
     let b = find_min_bucket t in
-    Array.unsafe_get t.times (Array.unsafe_get t.buckets b)
+    let n = Array.unsafe_get t.buckets b in
+    let time = Array.unsafe_get t.times n in
+    if time > until then none
+    else begin
+      if Audit.invariants_on () then begin
+        let seq = Array.unsafe_get t.seqs n in
+        if
+          time < t.last_pop_time
+          || (time = t.last_pop_time && seq < t.last_pop_seq)
+        then
+          Audit.fail
+            "Calendar_queue.take_until: popped (t=%.17g, seq=%d) after \
+             (t=%.17g, seq=%d) — FIFO order at equal timestamps broken"
+            time seq t.last_pop_time t.last_pop_seq;
+        t.last_pop_time <- time;
+        t.last_pop_seq <- seq
+      end;
+      Float.Array.unsafe_set t.staging 1 time;
+      Obj.obj (remove_head t b)
+    end
   end
 
-let peek_time t = if t.size = 0 then None else Some (min_time t)
+let[@inline] taken_time t = Float.Array.unsafe_get t.staging 1
+
+let peek_time t =
+  if t.size = 0 then None
+  else
+    Some (Array.unsafe_get t.times (Array.unsafe_get t.buckets (find_min_bucket t)))
 
 (* Insertion seq of the earliest event; [Invalid_argument] when empty. *)
 let min_seq t =

@@ -3,8 +3,9 @@
     A bucketed timer ring with automatic resize of bucket count and width,
     matching {!Event_heap}'s API and ordering contract exactly: events pop
     in lexicographic (time, insertion-order) order, so FIFO within equal
-    timestamps.  Steady-state add/take allocates nothing — nodes live in
-    pooled parallel arrays and are linked into buckets by index. *)
+    timestamps.  Steady-state add/pop allocates nothing — nodes live in
+    pooled parallel arrays and are linked into buckets by index, and a
+    per-bucket tail index makes the in-order insert O(1). *)
 
 type 'a t
 
@@ -40,14 +41,16 @@ val min_seq : 'a t -> int
 (** Remove and return the earliest event, or [None] if empty. *)
 val pop : 'a t -> (float * 'a) option
 
-(** Allocation-free variant of {!pop}: remove and return the earliest
-    event's value.  Raises [Invalid_argument] on an empty queue; read
-    {!min_time} first for the timestamp. *)
-val take : 'a t -> 'a
+(** [take_until t ~until ~none] removes and returns the earliest event's
+    value if its time is at most [until], and returns [none] — leaving
+    the queue as it was — if the queue is empty or its earliest event
+    lies beyond [until].  One bucket scan finds, tests and removes the
+    minimum; {!taken_time} then reads its timestamp.  Allocates
+    nothing.  The simulator's drain loop is built on it. *)
+val take_until : 'a t -> until:float -> none:'a -> 'a
 
-(** Earliest event time without removing it, [Float.nan] if empty.  The
-    allocation-free counterpart of {!peek_time}. *)
-val min_time : 'a t -> float
+(** Time of the event the last successful {!take_until} returned. *)
+val taken_time : 'a t -> float
 
 (** Earliest event time without removing it. *)
 val peek_time : 'a t -> float option

@@ -19,8 +19,10 @@ type 'a t = {
   mutable vals : Obj.t array;
   mutable len : int;
   mutable next_seq : int;
-  staging : floatarray;  (* unboxed hand-off slot for [add] *)
-  (* Last (time, seq) handed out by [take]; only read/written under
+  staging : floatarray;
+      (* cell 0: unboxed hand-off slot for [add]; cell 1: time of the
+         event [take_until] last returned *)
+  (* Last (time, seq) handed out by [take_until]; only read/written under
      [Audit.invariants_on] to assert (time, insertion-order) pop order. *)
   mutable last_pop_time : float;
   mutable last_pop_seq : int;
@@ -36,7 +38,7 @@ let create () =
     vals = [||];
     len = 0;
     next_seq = 0;
-    staging = Float.Array.create 1;
+    staging = Float.Array.create 2;
     last_pop_time = Float.neg_infinity;
     last_pop_seq = -1;
   }
@@ -109,13 +111,17 @@ let sift_down t ~time ~seq v =
   done;
   set t !i ~time ~seq v
 
-let add_staged t v =
+(* Place [v] at the staged time with tie-break [seq]. *)
+let add_node t ~seq v =
   let time = Float.Array.unsafe_get t.staging 0 in
   if t.len = Array.length t.times then grow t;
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
   t.len <- t.len + 1;
   sift_up t (t.len - 1) ~time ~seq v
+
+let add_staged t v =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  add_node t ~seq v
 
 (* The staging slot lets an inlined caller hand the (unboxed) time to the
    out-of-line body without boxing it at the call boundary (no flambda, so
@@ -131,21 +137,16 @@ let alloc_seq t =
   t.next_seq <- seq + 1;
   seq
 
-let add_with_seq t ~time ~seq value =
+let[@inline] add_with_seq t ~time ~seq value =
   if not (Float.is_finite time) then
     invalid_arg "Event_heap.add_with_seq: non-finite time";
   if seq < 0 || seq >= t.next_seq then
     invalid_arg "Event_heap.add_with_seq: seq was not allocated";
-  if t.len = Array.length t.times then grow t;
-  t.len <- t.len + 1;
-  sift_up t (t.len - 1) ~time ~seq (Obj.repr value)
+  Float.Array.unsafe_set t.staging 0 time;
+  add_node t ~seq (Obj.repr value)
 
 let is_empty t = t.len = 0
 let size t = t.len
-
-(* Earliest time; NaN if empty — callers check [is_empty] first. *)
-let[@inline] min_time t =
-  if t.len = 0 then Float.nan else Array.unsafe_get t.times 0
 
 let peek_time t = if t.len = 0 then None else Some t.times.(0)
 
@@ -166,25 +167,33 @@ let remove_top t =
   end
   else Array.unsafe_set t.vals 0 dummy
 
-let take t =
-  if t.len = 0 then invalid_arg "Event_heap.take: empty heap";
-  if Audit.invariants_on () then begin
-    let time = Array.unsafe_get t.times 0
-    and seq = Array.unsafe_get t.seqs 0 in
-    if
-      time < t.last_pop_time
-      || (time = t.last_pop_time && seq < t.last_pop_seq)
-    then
-      Audit.fail
-        "Event_heap.take: popped (t=%.17g, seq=%d) after (t=%.17g, seq=%d) \
-         — FIFO order at equal timestamps broken"
-        time seq t.last_pop_time t.last_pop_seq;
-    t.last_pop_time <- time;
-    t.last_pop_seq <- seq
-  end;
-  let v : 'a = Obj.obj (Array.unsafe_get t.vals 0) in
-  remove_top t;
-  v
+let take_until t ~until ~none =
+  if t.len = 0 then none
+  else begin
+    let time = Array.unsafe_get t.times 0 in
+    if time > until then none
+    else begin
+      if Audit.invariants_on () then begin
+        let seq = Array.unsafe_get t.seqs 0 in
+        if
+          time < t.last_pop_time
+          || (time = t.last_pop_time && seq < t.last_pop_seq)
+        then
+          Audit.fail
+            "Event_heap.take_until: popped (t=%.17g, seq=%d) after \
+             (t=%.17g, seq=%d) — FIFO order at equal timestamps broken"
+            time seq t.last_pop_time t.last_pop_seq;
+        t.last_pop_time <- time;
+        t.last_pop_seq <- seq
+      end;
+      Float.Array.unsafe_set t.staging 1 time;
+      let v : 'a = Obj.obj (Array.unsafe_get t.vals 0) in
+      remove_top t;
+      v
+    end
+  end
+
+let[@inline] taken_time t = Float.Array.unsafe_get t.staging 1
 
 let pop t =
   if t.len = 0 then None

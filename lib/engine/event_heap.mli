@@ -35,14 +35,15 @@ val min_seq : 'a t -> int
 (** Remove and return the earliest event, or [None] if empty. *)
 val pop : 'a t -> (float * 'a) option
 
-(** Allocation-free variant of {!pop}: remove and return the earliest
-    event's value.  Raises [Invalid_argument] on an empty heap; read
-    {!min_time} first for the timestamp. *)
-val take : 'a t -> 'a
+(** [take_until t ~until ~none] removes and returns the earliest event's
+    value if its time is at most [until], and returns [none] — leaving
+    the heap as it was — if the heap is empty or its earliest event lies
+    beyond [until].  {!taken_time} then reads the timestamp.  Allocates
+    nothing. *)
+val take_until : 'a t -> until:float -> none:'a -> 'a
 
-(** Earliest event time without removing it, [Float.nan] if empty.  The
-    allocation-free counterpart of {!peek_time}. *)
-val min_time : 'a t -> float
+(** Time of the event the last successful {!take_until} returned. *)
+val taken_time : 'a t -> float
 
 (** Earliest event time without removing it. *)
 val peek_time : 'a t -> float option

@@ -55,20 +55,28 @@ let[@inline] q_is_empty t =
   | Q_heap h -> Event_heap.is_empty h
   | Q_cal c -> Calendar_queue.is_empty c
 
-let[@inline] q_min_time t =
-  match t.q with
-  | Q_heap h -> Event_heap.min_time h
-  | Q_cal c -> Calendar_queue.min_time c
+(* Sentinel [take_until] returns when no event is due; never run. *)
+let no_event () = ()
 
-let[@inline] q_take t =
+let[@inline] q_take_until t until =
   match t.q with
-  | Q_heap h -> Event_heap.take h
-  | Q_cal c -> Calendar_queue.take c
+  | Q_heap h -> Event_heap.take_until h ~until ~none:no_event
+  | Q_cal c -> Calendar_queue.take_until c ~until ~none:no_event
 
-let at t time f =
-  if time < now t then
-    invalid_arg
-      (Printf.sprintf "Sim.at: time %g is in the past (now %g)" time (now t));
+let[@inline] q_taken_time t =
+  match t.q with
+  | Q_heap h -> Event_heap.taken_time h
+  | Q_cal c -> Calendar_queue.taken_time c
+
+(* The scheduling entry points are inlined so the time stays an unboxed
+   float all the way into the queue's staging cell; the error path is
+   kept out of line so inlining copies only the comparison. *)
+let[@inline never] in_the_past fn t time =
+  invalid_arg
+    (Printf.sprintf "Sim.%s: time %g is in the past (now %g)" fn time (now t))
+
+let[@inline] at t time f =
+  if time < now t then in_the_past "at" t time;
   q_add t ~time f
 
 (* Explicit-seq scheduling, for aggregating schedulers (the SoA RTO
@@ -79,11 +87,8 @@ let alloc_seq t =
   | Q_heap h -> Event_heap.alloc_seq h
   | Q_cal c -> Calendar_queue.alloc_seq c
 
-let at_seq t time ~seq f =
-  if time < now t then
-    invalid_arg
-      (Printf.sprintf "Sim.at_seq: time %g is in the past (now %g)" time
-         (now t));
+let[@inline] at_seq t time ~seq f =
+  if time < now t then in_the_past "at_seq" t time;
   match t.q with
   | Q_heap h -> Event_heap.add_with_seq h ~time ~seq f
   | Q_cal c -> Calendar_queue.add_with_seq c ~time ~seq f
@@ -160,12 +165,9 @@ let timer t f =
       end);
   tm
 
-let arm_at tm time =
+let[@inline] arm_at tm time =
   let t = tm.tsim in
-  if time < now t then
-    invalid_arg
-      (Printf.sprintf "Sim.arm_at: time %g is in the past (now %g)" time
-         (now t));
+  if time < now t then in_the_past "arm_at" t time;
   Float.Array.unsafe_set tm.deadline 0 time;
   tm.armed <- true;
   if Float.Array.unsafe_get tm.queued 0 > time then begin
@@ -218,35 +220,30 @@ let stop t = t.running <- false
 
 let run ?(until = Float.infinity) t =
   t.running <- true;
-  (* The drain loop uses [min_time]/[take] rather than [peek_time]/[pop]:
-     no [Some]/tuple allocation per event. *)
-  let rec loop () =
-    if t.running then begin
-      if q_is_empty t then t.running <- false
-      else begin
-        let time = q_min_time t in
-        if time > until then begin
-          (* Leave the event in the queue so the simulation can resume
-             from this clock later; park the clock at the horizon. *)
-          set_now t until;
-          t.running <- false
-        end
-        else begin
-          if Audit.invariants_on () && time < now t then
-            Audit.fail
-              "Sim.run: event queue returned time %.17g behind the clock \
-               %.17g (non-monotone schedule)"
-              time (now t);
-          let f = q_take t in
-          set_now t time;
-          t.processed <- t.processed + 1;
-          f ();
-          loop ()
-        end
-      end
+  (* One queue scan per event: [take_until] finds the earliest event,
+     tests it against the horizon and removes it, with no [Some]/tuple
+     allocation.  A while loop, so a run allocates no loop closure. *)
+  while t.running do
+    let f = q_take_until t until in
+    if f == no_event then begin
+      (* Empty, or the next event lies beyond [until]: leave it in the
+         queue so the simulation can resume from this clock later, and
+         park the clock at the horizon. *)
+      if not (q_is_empty t) then set_now t until;
+      t.running <- false
     end
-  in
-  loop ();
+    else begin
+      let time = q_taken_time t in
+      if Audit.invariants_on () && time < now t then
+        Audit.fail
+          "Sim.run: event queue returned time %.17g behind the clock %.17g \
+           (non-monotone schedule)"
+          time (now t);
+      set_now t time;
+      t.processed <- t.processed + 1;
+      f ()
+    end
+  done;
   if q_is_empty t && now t < until && Float.is_finite until then
     set_now t until
 

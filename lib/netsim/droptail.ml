@@ -19,16 +19,16 @@ let make ~capacity =
     end
   in
   let dequeue () =
-    match Pktq.take_opt q with
-    | None -> None
-    | Some pkt ->
+    let pkt = Pktq.take q in
+    if pkt != Packet.dummy then begin
       bytes := !bytes - pkt.Packet.size;
       if Engine.Audit.invariants_on () && !bytes < 0 then
         Engine.Audit.fail
           "Droptail: byte occupancy went negative (%d) after dequeueing \
            pkt of %d bytes"
-          !bytes pkt.Packet.size;
-      Some pkt
+          !bytes pkt.Packet.size
+    end;
+    pkt
   in
   {
     Queue_intf.name = "droptail";

@@ -132,9 +132,9 @@ let check_conservation t =
       t.queue.Queue_intf.name t.departures t.delivered t.flight_len
 
 let transmit_next t =
-  match t.queue.Queue_intf.dequeue () with
-  | None -> t.busy <- false
-  | Some pkt ->
+  let pkt = t.queue.Queue_intf.dequeue () in
+  if pkt == Packet.dummy then t.busy <- false
+  else begin
     if t.qdelay_hooks != [] then begin
       if t.qd_skip > 0 then t.qd_skip <- t.qd_skip - 1
       else if t.enq_len > 0 then
@@ -144,6 +144,7 @@ let transmit_next t =
     t.busy <- true;
     t.tx_pkt <- pkt;
     Engine.Sim.after t.sim (tx_time t ~bytes:pkt.Packet.size) t.tx_done
+  end
 
 let make ~sim ~bandwidth ~delay ~queue =
   if bandwidth <= 0. then invalid_arg "Link.make: bandwidth must be positive";

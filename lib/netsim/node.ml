@@ -8,7 +8,9 @@ let dense_limit = 1 lsl 20
 
 type t = {
   id : int;
-  routes : (int, Link.t) Hashtbl.t;
+  mutable routes : Link.t option array;
+      (* next hop by destination node id (ids are small and dense); a
+         [None] slot or an id past the end falls back to [default_route] *)
   mutable default_route : Link.t option;
   mutable agents_dense : (Packet.t -> unit) array;
       (* dense dispatch for small non-negative flow ids: delivery is a
@@ -24,7 +26,7 @@ type t = {
 let create ~id =
   {
     id;
-    routes = Hashtbl.create 16;
+    routes = [||];
     default_route = None;
     agents_dense = [||];
     agents = Hashtbl.create 16;
@@ -33,7 +35,16 @@ let create ~id =
   }
 
 let id t = t.id
-let add_route t ~dst link = Hashtbl.replace t.routes dst link
+let add_route t ~dst link =
+  if dst < 0 then invalid_arg "Node.add_route: negative destination";
+  let cur = Array.length t.routes in
+  if dst >= cur then begin
+    let a = Array.make (max (dst + 1) (max 8 (2 * cur))) None in
+    Array.blit t.routes 0 a 0 cur;
+    t.routes <- a
+  end;
+  t.routes.(dst) <- Some link
+
 let set_default_route t link = t.default_route <- Some link
 
 let grow_dense t want =
@@ -76,9 +87,10 @@ let discard t pkt =
   run_hooks t.discard_hooks pkt;
   Packet.release pkt
 
-(* Exception-style lookups on the sparse path: [Hashtbl.find_opt]
+(* Exception-style lookup on the sparse agent path: [Hashtbl.find_opt]
    allocates a [Some] per delivery, and this runs once per packet per
-   hop.  The dense path is just a load and a physical-equality test. *)
+   hop.  The dense agent path is a load and a physical-equality test;
+   forwarding is a load from the route array. *)
 let receive t (pkt : Packet.t) =
   if pkt.Packet.dst = t.id then begin
     let flow = pkt.Packet.flow in
@@ -94,9 +106,14 @@ let receive t (pkt : Packet.t) =
     end
   end
   else begin
-    match Hashtbl.find t.routes pkt.Packet.dst with
-    | l -> Link.send l pkt
-    | exception Not_found -> (
+    let dst = pkt.Packet.dst and routes = t.routes in
+    let route =
+      if dst >= 0 && dst < Array.length routes then Array.unsafe_get routes dst
+      else None
+    in
+    match route with
+    | Some l -> Link.send l pkt
+    | None -> (
       match t.default_route with
       | Some l -> Link.send l pkt
       | None -> discard t pkt)

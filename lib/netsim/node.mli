@@ -6,7 +6,9 @@ type t
 val create : id:int -> t
 val id : t -> int
 
-(** Route packets destined to node [dst] over [link]. *)
+(** Route packets destined to node [dst] over [link], replacing any
+    earlier route to [dst].  Node ids index a dense table, so they should
+    be small; a negative [dst] raises [Invalid_argument]. *)
 val add_route : t -> dst:int -> Link.t -> unit
 
 (** Route for any destination without an explicit entry. *)

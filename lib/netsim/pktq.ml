@@ -27,8 +27,8 @@ let add q pkt =
   q.items.((q.head + q.len) land mask) <- pkt;
   q.len <- q.len + 1
 
-let take_opt q =
-  if q.len = 0 then None
+let take q =
+  if q.len = 0 then Packet.dummy
   else begin
     let pkt = q.items.(q.head) in
     if Engine.Audit.invariants_on () && pkt == Packet.dummy then
@@ -39,5 +39,5 @@ let take_opt q =
     q.items.(q.head) <- Packet.dummy;
     q.head <- (q.head + 1) land (Array.length q.items - 1);
     q.len <- q.len - 1;
-    Some pkt
+    pkt
   end

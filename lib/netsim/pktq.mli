@@ -1,6 +1,5 @@
 (** Growable ring-buffer FIFO of packets; enqueue/dequeue never cons
-    (unlike [Stdlib.Queue]), apart from the [option] a [take_opt] returns
-    to match [Queue_intf.dequeue]. *)
+    (unlike [Stdlib.Queue]). *)
 
 type t
 
@@ -8,4 +7,6 @@ val create : unit -> t
 val length : t -> int
 val is_empty : t -> bool
 val add : t -> Packet.t -> unit
-val take_opt : t -> Packet.t option
+
+(** Remove and return the head, or {!Packet.dummy} when empty. *)
+val take : t -> Packet.t

@@ -12,7 +12,9 @@ type action =
 type t = {
   name : string;
   enqueue : Packet.t -> action;
-  dequeue : unit -> Packet.t option;
+  dequeue : unit -> Packet.t;
+      (** head of the queue, or {!Packet.dummy} when it is empty (compare
+          with [==]); returning the packet itself allocates nothing *)
   pkts : unit -> int;  (** current queue length in packets *)
   bytes : unit -> int;  (** current queue length in bytes *)
   counters : unit -> (string * int) list;

@@ -55,50 +55,57 @@ let make_with_introspection ~sim ~rng p =
       peak_pkts = 0;
     }
   in
-  let get_avg () = Float.Array.unsafe_get s.avg 0 in
-  let set_avg v = Float.Array.unsafe_set s.avg 0 v in
+  (* The floatarray cells are read and written in place: a helper
+     returning the average would box it on every arrival. *)
   let update_avg () =
     let t0 = Float.Array.unsafe_get s.idle_since 0 in
+    let avg = Float.Array.unsafe_get s.avg 0 in
     if Float.is_nan t0 then
-      set_avg
-        (get_avg () +. (p.w_q *. (float_of_int (Pktq.length s.q) -. get_avg ())))
+      Float.Array.unsafe_set s.avg 0
+        (avg +. (p.w_q *. (float_of_int (Pktq.length s.q) -. avg)))
     else begin
       (* Decay the average as if the queue had been draining small packets
          during the idle period. *)
       let m = (Engine.Sim.now sim -. t0) /. p.mean_pkt_tx_time in
-      set_avg (get_avg () *. ((1. -. p.w_q) ** m));
+      Float.Array.unsafe_set s.avg 0 (avg *. ((1. -. p.w_q) ** m));
       Float.Array.unsafe_set s.idle_since 0 Float.nan
     end
   in
   (* Decide the fate of an arrival once the average is up to date.  Returns
      the probabilistic verdict; the caller still enforces buffer overflow. *)
   let early_verdict () : Queue_intf.action =
-    let avg = get_avg () in
+    let avg = Float.Array.unsafe_get s.avg 0 in
     if avg < p.min_th then begin
       s.count <- -1;
       Queue_intf.Enqueued
     end
-    else begin
-      let congested = Queue_intf.(if p.ecn then Marked else Dropped) in
-      let uniformized p_b =
-        s.count <- s.count + 1;
-        let denom = 1. -. (float_of_int s.count *. p_b) in
-        let p_a = if denom <= 0. then 1. else Float.min 1. (p_b /. denom) in
-        if Engine.Rng.bernoulli rng ~p:p_a then begin
-          s.count <- 0;
-          congested
-        end
-        else Queue_intf.Enqueued
+    else if avg < p.max_th || (p.gentle && avg < 2. *. p.max_th) then begin
+      let p_b =
+        if avg < p.max_th then
+          p.max_p *. (avg -. p.min_th) /. (p.max_th -. p.min_th)
+        else p.max_p +. ((1. -. p.max_p) *. (avg -. p.max_th) /. p.max_th)
       in
-      if avg < p.max_th then
-        uniformized (p.max_p *. (avg -. p.min_th) /. (p.max_th -. p.min_th))
-      else if p.gentle && avg < 2. *. p.max_th then
-        uniformized (p.max_p +. ((1. -. p.max_p) *. (avg -. p.max_th) /. p.max_th))
-      else begin
-        (* Average beyond the (gentle) ceiling: forced drop even with ECN. *)
+      (* Uniformize by the count of arrivals since the last drop. *)
+      s.count <- s.count + 1;
+      let denom = 1. -. (float_of_int s.count *. p_b) in
+      let p_a =
+        if denom <= 0. then 1.
+        else begin
+          (* [Float.min 1.] spelled out so it cannot box. *)
+          let q = p_b /. denom in
+          if q >= 1. then 1. else q
+        end
+      in
+      if Engine.Rng.bernoulli rng ~p:p_a then begin
         s.count <- 0;
-        Queue_intf.Dropped
+        if p.ecn then Queue_intf.Marked else Queue_intf.Dropped
       end
+      else Queue_intf.Enqueued
+    end
+    else begin
+      (* Average beyond the (gentle) ceiling: forced drop even with ECN. *)
+      s.count <- 0;
+      Queue_intf.Dropped
     end
   in
   let admit pkt =
@@ -130,9 +137,8 @@ let make_with_introspection ~sim ~rng p =
     end
   in
   let dequeue () =
-    match Pktq.take_opt s.q with
-    | None -> None
-    | Some pkt ->
+    let pkt = Pktq.take s.q in
+    if pkt != Packet.dummy then begin
       s.bytes <- s.bytes - pkt.Packet.size;
       if Engine.Audit.invariants_on () && s.bytes < 0 then
         Engine.Audit.fail
@@ -140,8 +146,9 @@ let make_with_introspection ~sim ~rng p =
            %d bytes"
           s.bytes pkt.Packet.size;
       if Pktq.is_empty s.q then
-        Float.Array.unsafe_set s.idle_since 0 (Engine.Sim.now sim);
-      Some pkt
+        Float.Array.unsafe_set s.idle_since 0 (Engine.Sim.now sim)
+    end;
+    pkt
   in
   let queue =
     {

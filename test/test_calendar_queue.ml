@@ -13,11 +13,8 @@ let test_empty () =
   Alcotest.(check int) "size" 0 (Cq.size q);
   Alcotest.(check bool) "pop none" true (Cq.pop q = None);
   Alcotest.(check bool) "peek none" true (Cq.peek_time q = None);
-  Alcotest.(check bool) "min_time empty is nan" true
-    (Float.is_nan (Cq.min_time q));
-  Alcotest.check_raises "take empty"
-    (Invalid_argument "Calendar_queue.take: empty queue") (fun () ->
-      ignore (Cq.take q))
+  Alcotest.(check string) "take_until empty" "none"
+    (Cq.take_until q ~until:Float.infinity ~none:"none")
 
 let test_ordering () =
   let q = Cq.create () in
@@ -43,16 +40,19 @@ let test_fifo_ties () =
   Alcotest.(check string) "fifo b" "b" (pop ());
   Alcotest.(check string) "fifo c" "c" (pop ())
 
-let test_take_min_time () =
+let test_take_until () =
   let q = Cq.create () in
+  let take until = Cq.take_until q ~until ~none:"none" in
   List.iter
     (fun (t, v) -> Cq.add q ~time:t v)
     [ (2., "b"); (1., "a"); (3., "c") ];
-  check_float "min_time" 1. (Cq.min_time q);
-  Alcotest.(check string) "take min" "a" (Cq.take q);
-  check_float "min_time after take" 2. (Cq.min_time q);
-  Alcotest.(check string) "take next" "b" (Cq.take q);
-  Alcotest.(check string) "take last" "c" (Cq.take q);
+  Alcotest.(check string) "take min" "a" (take 1.);
+  check_float "taken_time" 1. (Cq.taken_time q);
+  Alcotest.(check string) "next not yet due" "none" (take 1.999);
+  Alcotest.(check int) "left in place" 2 (Cq.size q);
+  Alcotest.(check string) "due at until" "b" (take 2.);
+  check_float "taken_time after" 2. (Cq.taken_time q);
+  Alcotest.(check string) "take last" "c" (take Float.infinity);
   Alcotest.(check bool) "empty again" true (Cq.is_empty q)
 
 let test_rejects_bad_times () =
@@ -74,8 +74,9 @@ let test_clear () =
   (* Reusable after clear. *)
   Cq.add q ~time:2. 2;
   Cq.add q ~time:1. 1;
-  Alcotest.(check int) "first after clear" 1 (Cq.take q);
-  Alcotest.(check int) "second after clear" 2 (Cq.take q)
+  let take () = Cq.take_until q ~until:Float.infinity ~none:(-1) in
+  Alcotest.(check int) "first after clear" 1 (take ());
+  Alcotest.(check int) "second after clear" 2 (take ())
 
 let test_resize_grows_and_shrinks () =
   let q = Cq.create () in
@@ -87,10 +88,10 @@ let test_resize_grows_and_shrinks () =
   Alcotest.(check bool) "width adapted" true (Cq.width q > 0.);
   let prev = ref (-1.) in
   for i = 0 to 9999 do
-    let t = Cq.min_time q in
+    let v = Cq.take_until q ~until:Float.infinity ~none:(-1) in
+    let t = Cq.taken_time q in
     Alcotest.(check bool) "monotone" true (t >= !prev);
     prev := t;
-    let v = Cq.take q in
     Alcotest.(check int) "payload order survives resizes" i v
   done;
   Alcotest.(check bool) "buckets shrank back" true (Cq.buckets q <= nb0 * 2)
@@ -164,6 +165,93 @@ let prop_equivalence =
     QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 1_000))
     (fun (seed, ops) ->
       equivalence_run ~seed ~ops ~quantum:1e-3;
+      true)
+
+(* The Rto_wheel pattern: seqs burned early and inserted later, so an
+   entry's seq sorts before its bucket's tail and must walk the list,
+   mixed with plain in-order adds (the O(1) tail append), bursts that
+   grow and drain the ring through resizes, and the one-scan
+   [take_until] the simulator pops with. *)
+let seq_equivalence_run ~seed ~ops ~quantum =
+  let st = Random.State.make [| seed |] in
+  let h = Eh.create () in
+  let c = Cq.create () in
+  let last = ref 0. in
+  let next_id = ref 0 in
+  let burned = ref [] in
+  let fresh_id () =
+    let id = !next_id in
+    incr next_id;
+    id
+  in
+  let take_until until =
+    let vh = Eh.take_until h ~until ~none:(-1) in
+    let vc = Cq.take_until c ~until ~none:(-1) in
+    if vh <> vc then
+      Alcotest.failf "take_until %g: heap %d vs calendar %d" until vh vc;
+    if vh >= 0 then begin
+      let th = Eh.taken_time h and tc = Cq.taken_time c in
+      if th <> tc then Alcotest.failf "taken_time: heap %g vs calendar %g" th tc;
+      if th > until then Alcotest.failf "took %g past until %g" th until;
+      last := th
+    end
+    else begin
+      match Eh.peek_time h with
+      | Some due when due <= until ->
+        Alcotest.failf "take_until %g returned none with %g due" until due
+      | _ -> ()
+    end;
+    vh
+  in
+  for i = 1 to ops do
+    (match Random.State.int st 10 with
+    | 0 | 1 | 2 | 3 ->
+      let time = !last +. (float_of_int (Random.State.int st 50) *. quantum) in
+      let id = fresh_id () in
+      Eh.add h ~time id;
+      Cq.add c ~time id
+    | 4 | 5 ->
+      let sh = Eh.alloc_seq h and sc = Cq.alloc_seq c in
+      if sh <> sc then Alcotest.fail "alloc_seq counters diverged";
+      burned := sh :: !burned
+    | 6 | 7 -> (
+      match !burned with
+      | [] -> ()
+      | seq :: rest ->
+        (* Strictly after the last pop, so any burned seq keeps pop
+           order; quantized, so it ties with entries added since. *)
+        burned := rest;
+        let time =
+          !last +. (float_of_int (1 + Random.State.int st 50) *. quantum)
+        in
+        let id = fresh_id () in
+        Eh.add_with_seq h ~time ~seq id;
+        Cq.add_with_seq c ~time ~seq id)
+    | _ ->
+      ignore
+        (take_until
+           (!last +. (float_of_int (Random.State.int st 60) *. quantum))));
+    (* Every 500 ops drain a burst, shrinking the ring. *)
+    if i mod 500 = 0 then
+      for _ = 1 to Eh.size h / 2 do
+        ignore (take_until Float.infinity)
+      done;
+    if Eh.size h <> Cq.size c then Alcotest.fail "size mismatch"
+  done;
+  while take_until Float.infinity >= 0 do
+    ()
+  done;
+  Alcotest.(check bool) "both drained" true (Eh.is_empty h && Cq.is_empty c)
+
+let test_seq_equivalence () =
+  seq_equivalence_run ~seed:5 ~ops:20_000 ~quantum:1e-4
+
+let prop_seq_equivalence =
+  QCheck2.Test.make
+    ~name:"calendar pops like heap: late seqs, resizes, take_until" ~count:50
+    QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 3_000))
+    (fun (seed, ops) ->
+      seq_equivalence_run ~seed ~ops ~quantum:1e-3;
       true)
 
 (* The user-facing property the tentpole promises: a Sim behaves
@@ -348,11 +436,11 @@ let test_explicit_seq_across_resize () =
   done;
   let last = ref (-1., -1) in
   for _ = 1 to n do
-    let tm = Cq.min_time q in
     let sm = Cq.min_seq q in
+    ignore (Cq.take_until q ~until:Float.infinity ~none:(-1));
+    let tm = Cq.taken_time q in
     if (tm, sm) <= !last then Alcotest.fail "pop order not (time, seq)";
-    last := (tm, sm);
-    ignore (Cq.take q)
+    last := (tm, sm)
   done;
   Alcotest.(check bool) "drained" true (Cq.is_empty q)
 
@@ -366,7 +454,7 @@ let suite =
       test_explicit_seq_across_resize;
     Alcotest.test_case "time ordering" `Quick test_ordering;
     Alcotest.test_case "FIFO tie-break" `Quick test_fifo_ties;
-    Alcotest.test_case "take and min_time" `Quick test_take_min_time;
+    Alcotest.test_case "take_until and taken_time" `Quick test_take_until;
     Alcotest.test_case "rejects bad times" `Quick test_rejects_bad_times;
     Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "resize policy" `Quick test_resize_grows_and_shrinks;
@@ -375,6 +463,9 @@ let suite =
     Alcotest.test_case "equivalence: all ties" `Quick test_equivalence_ties;
     Alcotest.test_case "equivalence: sparse" `Quick test_equivalence_sparse;
     QCheck_alcotest.to_alcotest prop_equivalence;
+    Alcotest.test_case "equivalence: late seqs + take_until" `Quick
+      test_seq_equivalence;
+    QCheck_alcotest.to_alcotest prop_seq_equivalence;
     QCheck_alcotest.to_alcotest prop_sim_parks_identically;
     Alcotest.test_case "timer cancel/rearm equivalence" `Quick
       test_timer_cancellation_equivalence;

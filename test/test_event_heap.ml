@@ -52,20 +52,20 @@ let test_clear () =
   Engine.Event_heap.clear h;
   Alcotest.(check bool) "cleared" true (Engine.Event_heap.is_empty h)
 
-let test_take_min_time () =
+let test_take_until () =
   let h = Engine.Event_heap.create () in
-  Alcotest.(check bool) "min_time empty is nan" true
-    (Float.is_nan (Engine.Event_heap.min_time h));
-  Alcotest.check_raises "take empty" (Invalid_argument "Event_heap.take: empty heap")
-    (fun () -> ignore (Engine.Event_heap.take h));
+  let take until = Engine.Event_heap.take_until h ~until ~none:"none" in
+  Alcotest.(check string) "empty" "none" (take Float.infinity);
   List.iter
     (fun (t, v) -> Engine.Event_heap.add h ~time:t v)
     [ (2., "b"); (1., "a"); (3., "c") ];
-  check_float "min_time" 1. (Engine.Event_heap.min_time h);
-  Alcotest.(check string) "take min" "a" (Engine.Event_heap.take h);
-  check_float "min_time after take" 2. (Engine.Event_heap.min_time h);
-  Alcotest.(check string) "take next" "b" (Engine.Event_heap.take h);
-  Alcotest.(check string) "take last" "c" (Engine.Event_heap.take h);
+  Alcotest.(check string) "take min" "a" (take 1.);
+  check_float "taken_time" 1. (Engine.Event_heap.taken_time h);
+  Alcotest.(check string) "next not yet due" "none" (take 1.999);
+  Alcotest.(check int) "left in place" 2 (Engine.Event_heap.size h);
+  Alcotest.(check string) "due at until" "b" (take 2.);
+  check_float "taken_time after" 2. (Engine.Event_heap.taken_time h);
+  Alcotest.(check string) "take last" "c" (take Float.infinity);
   Alcotest.(check bool) "empty again" true (Engine.Event_heap.is_empty h)
 
 let test_float_payloads () =
@@ -75,7 +75,7 @@ let test_float_payloads () =
   List.iter (fun t -> Engine.Event_heap.add h ~time:t (t *. 10.)) [ 3.; 1.; 2. ];
   Alcotest.(check (list (float 0.)))
     "float values in order" [ 10.; 20.; 30. ]
-    (List.init 3 (fun _ -> Engine.Event_heap.take h))
+    (List.init 3 (fun _ -> snd (Option.get (Engine.Event_heap.pop h))))
 
 let test_rejects_nan () =
   let h = Engine.Event_heap.create () in
@@ -159,7 +159,7 @@ let suite =
     Alcotest.test_case "FIFO tie-break" `Quick test_fifo_ties;
     Alcotest.test_case "peek" `Quick test_peek;
     Alcotest.test_case "clear" `Quick test_clear;
-    Alcotest.test_case "take and min_time" `Quick test_take_min_time;
+    Alcotest.test_case "take_until and taken_time" `Quick test_take_until;
     Alcotest.test_case "float payloads" `Quick test_float_payloads;
     Alcotest.test_case "rejects NaN" `Quick test_rejects_nan;
     Alcotest.test_case "growth" `Quick test_growth;

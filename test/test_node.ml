@@ -46,6 +46,58 @@ let test_no_route_discards () =
   Netsim.Node.receive node (mk_pkt ~flow:0 ~dst:99);
   Alcotest.(check int) "discarded" 1 (Netsim.Node.discarded node)
 
+(* Routing through the dense table indexed by destination node id. *)
+let counting_link sim =
+  let l = link_fixture sim and n = ref 0 in
+  Netsim.Link.connect l (fun _ -> incr n);
+  (l, n)
+
+let test_route_replaced () =
+  let sim = Engine.Sim.create () in
+  let node = Netsim.Node.create ~id:0 in
+  let l1, via1 = counting_link sim and l2, via2 = counting_link sim in
+  Netsim.Node.add_route node ~dst:3 l1;
+  Netsim.Node.add_route node ~dst:3 l2;
+  Netsim.Node.receive node (mk_pkt ~flow:0 ~dst:3);
+  Engine.Sim.run sim;
+  Alcotest.(check int) "replaced route unused" 0 !via1;
+  Alcotest.(check int) "second route taken" 1 !via2
+
+let test_route_beyond_table () =
+  let sim = Engine.Sim.create () in
+  let node = Netsim.Node.create ~id:0 in
+  let l1, via1 = counting_link sim and dflt, via_default = counting_link sim in
+  Netsim.Node.add_route node ~dst:2 l1;
+  Netsim.Node.set_default_route node dflt;
+  (* 5 is inside the table with no entry; 100_000 and -4 lie outside it. *)
+  List.iter
+    (fun dst -> Netsim.Node.receive node (mk_pkt ~flow:0 ~dst))
+    [ 2; 5; 100_000; -4 ];
+  Engine.Sim.run sim;
+  Alcotest.(check int) "explicit route" 1 !via1;
+  Alcotest.(check int) "default route" 3 !via_default;
+  Alcotest.(check int) "nothing discarded" 0 (Netsim.Node.discarded node)
+
+let test_no_route_no_default_discards_once () =
+  let sim = Engine.Sim.create () in
+  let node = Netsim.Node.create ~id:0 in
+  let l1, via1 = counting_link sim in
+  Netsim.Node.add_route node ~dst:2 l1;
+  let hooked = ref 0 in
+  Netsim.Node.on_discard node (fun _ -> incr hooked);
+  Netsim.Node.receive node (mk_pkt ~flow:0 ~dst:3);
+  Engine.Sim.run sim;
+  Alcotest.(check int) "discarded once" 1 (Netsim.Node.discarded node);
+  Alcotest.(check int) "discard hook ran once" 1 !hooked;
+  Alcotest.(check int) "no link carried it" 0 !via1
+
+let test_negative_route_rejected () =
+  let sim = Engine.Sim.create () in
+  let node = Netsim.Node.create ~id:0 in
+  Alcotest.check_raises "negative dst"
+    (Invalid_argument "Node.add_route: negative destination") (fun () ->
+      Netsim.Node.add_route node ~dst:(-1) (link_fixture sim))
+
 (* Dense dispatch: small non-negative flow ids live in an array, huge or
    negative ids fall back to the hash table, and the two behave
    identically through attach/detach/reserve. *)
@@ -127,4 +179,12 @@ let suite =
     Alcotest.test_case "detach" `Quick test_detach;
     Alcotest.test_case "routing" `Quick test_routing;
     Alcotest.test_case "no route discards" `Quick test_no_route_discards;
+    Alcotest.test_case "second route replaces first" `Quick
+      test_route_replaced;
+    Alcotest.test_case "dst beyond route table uses default" `Quick
+      test_route_beyond_table;
+    Alcotest.test_case "no route, no default: discarded once" `Quick
+      test_no_route_no_default_discards_once;
+    Alcotest.test_case "negative route dst rejected" `Quick
+      test_negative_route_rejected;
   ]

@@ -12,9 +12,9 @@ let test_droptail_fifo () =
       | _ -> Alcotest.fail "unexpected drop")
     [ 1; 2; 3 ];
   let deq () =
-    match q.Netsim.Queue_intf.dequeue () with
-    | Some p -> p.Netsim.Packet.seq
-    | None -> Alcotest.fail "empty"
+    let p = q.Netsim.Queue_intf.dequeue () in
+    if p == Netsim.Packet.dummy then Alcotest.fail "empty";
+    p.Netsim.Packet.seq
   in
   Alcotest.(check int) "fifo 1" 1 (deq ());
   Alcotest.(check int) "fifo 2" 2 (deq ());
@@ -96,7 +96,7 @@ let test_red_idle_decay () =
   for i = 1 to 30 do
     ignore (q.Netsim.Queue_intf.enqueue (mk_pkt i))
   done;
-  while q.Netsim.Queue_intf.dequeue () <> None do
+  while q.Netsim.Queue_intf.dequeue () != Netsim.Packet.dummy do
     ()
   done;
   let before = avg () in
@@ -172,11 +172,10 @@ let test_pktq_growth_wrapped () =
     incr next_in
   in
   let take () =
-    match Netsim.Pktq.take_opt q with
-    | Some p ->
-      Alcotest.(check int) "fifo order" !next_out p.Netsim.Packet.seq;
-      incr next_out
-    | None -> Alcotest.fail "unexpected empty"
+    let p = Netsim.Pktq.take q in
+    if p == Netsim.Packet.dummy then Alcotest.fail "unexpected empty";
+    Alcotest.(check int) "fifo order" !next_out p.Netsim.Packet.seq;
+    incr next_out
   in
   for _ = 1 to 10 do
     add ()
@@ -192,9 +191,8 @@ let test_pktq_growth_wrapped () =
     take ()
   done;
   Alcotest.(check int) "drained everything" !next_in !next_out;
-  match Netsim.Pktq.take_opt q with
-  | None -> ()
-  | Some _ -> Alcotest.fail "take on empty ring returned a packet"
+  if Netsim.Pktq.take q != Netsim.Packet.dummy then
+    Alcotest.fail "take on empty ring returned a packet"
 
 let suite =
   [

@@ -25,6 +25,36 @@ let test_split_independent () =
   Alcotest.(check (float 0.)) "child reproducible" first_child_value
     (Engine.Rng.float child2)
 
+(* The SplitMix64 stream is part of every digest: these literals are the
+   first draws of seed 42 and of its first split, so a change in how the
+   state is stored cannot move the stream unnoticed. *)
+let test_pinned_stream () =
+  let check_floats what rng expected =
+    List.iteri
+      (fun i want ->
+        Alcotest.(check (float 0.))
+          (Printf.sprintf "%s draw %d" what i)
+          want (Engine.Rng.float rng))
+      expected
+  in
+  check_floats "seed 42"
+    (Engine.Rng.create ~seed:42)
+    [
+      0x1.7bae644c5fd6dp-1;
+      0x1.477f199d93378p-3;
+      0x1.1d499d5c4c3e6p-2;
+      0x1.607387fc392b8p-2;
+    ];
+  let parent = Engine.Rng.create ~seed:42 in
+  let child = Engine.Rng.split parent in
+  check_floats "split of seed 42" child
+    [ 0x1.5f87eae99441cp-2; 0x1.e957a287fd648p-1; 0x1.f2059ce304a4p-2 ];
+  (* The split consumed the parent's first draw. *)
+  check_floats "seed 42 after split" parent
+    [ 0x1.477f199d93378p-3; 0x1.1d499d5c4c3e6p-2 ];
+  Alcotest.(check int) "int draw" 882 (Engine.Rng.int parent 1000);
+  Alcotest.(check int) "child int draw" 348 (Engine.Rng.int child 1000)
+
 let test_int_bounds () =
   let rng = Engine.Rng.create ~seed:3 in
   for _ = 1 to 1000 do
@@ -114,6 +144,7 @@ let suite =
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "seeds differ" `Quick test_seeds_differ;
     Alcotest.test_case "split independence" `Quick test_split_independent;
+    Alcotest.test_case "pinned stream" `Quick test_pinned_stream;
     Alcotest.test_case "int bounds" `Quick test_int_bounds;
     Alcotest.test_case "int rejects non-positive" `Quick test_int_rejects_nonpositive;
     Alcotest.test_case "int distribution unbiased" `Quick test_int_unbiased;
